@@ -7,11 +7,10 @@
 //! so the derived elements/s column is positioning fixes per second for
 //! that lane.
 //!
-//! A second, serial sweep varies the SoA block size — the batched
-//! single-thread [`Engine`] fed through `run_blocked` with 1, 4 and 8
-//! epochs lock-step — so the committed numbers separate the
-//! const-generic/SoA lane win (pure single-core solve rate) from thread
-//! scaling and parallel plumbing.
+//! One serial cell per solver — the single-thread [`Engine`] fed epoch
+//! by epoch through `run_epoch` with timing off — records the pure
+//! single-core solve rate, so the committed numbers separate it from
+//! thread scaling and parallel plumbing.
 //!
 //! Besides the usual harness output, the run distils a machine-readable
 //! summary to `BENCH_throughput.json` at the repository root —
@@ -34,10 +33,6 @@ const SATELLITES: usize = 8;
 /// Dataset seed (the paper's publication year, same as the CLI default).
 const SEED: u64 = 2010;
 
-/// The swept block sizes for the single-worker SoA lane:
-/// `run_blocked` with 1 (degenerate blocks), 4 and 8 epochs lock-step.
-const BLOCK_SWEEP: [usize; 3] = [1, 4, 8];
-
 /// One summary cell for the JSON report.
 struct Cell {
     solver: &'static str,
@@ -46,10 +41,9 @@ struct Cell {
     /// the pure single-core solve rate.
     mode: &'static str,
     jobs: usize,
-    /// Epochs per lock-step block; 1 = per-epoch feeding.
-    block_size: usize,
     ns_per_stream: f64,
     fixes_per_sec: f64,
+    /// The solver's `jobs = 1` parallel cell time over this cell's.
     speedup_vs_jobs1: f64,
 }
 
@@ -92,20 +86,21 @@ fn main() {
             });
         }
     }
-    // Serial block-size sweep: the batched single-thread `Engine` fed
-    // through lock-step EpochBlocks. No pool, no channels, no merge —
-    // the SoA lane's pure single-core solve rate, isolated from both
-    // thread scaling and parallel plumbing.
-    for &bs in &BLOCK_SWEEP {
-        for (lane, name) in lane_names.iter().enumerate() {
-            let mut engine = Engine::new()
-                .with_solver(roster.solvers()[lane].clone_box())
-                .with_timing(false);
-            let s = Arc::clone(&stream);
-            group.bench_function(&format!("{name}/serial-block-{bs}"), |b| {
-                b.iter(|| engine.run_blocked(&s, bs))
-            });
-        }
+    // Serial cells: the single-thread `Engine` fed epoch by epoch. No
+    // pool, no channels, no merge — the pure single-core solve rate,
+    // isolated from both thread scaling and parallel plumbing.
+    for (lane, name) in lane_names.iter().enumerate() {
+        let mut engine = Engine::new()
+            .with_solver(roster.solvers()[lane].clone_box())
+            .with_timing(false);
+        let s = Arc::clone(&stream);
+        group.bench_function(&format!("{name}/serial"), |b| {
+            b.iter(|| {
+                s.iter()
+                    .map(|job| engine.run_epoch(&job.measurements, job.predicted_receiver_bias_m))
+                    .sum::<usize>()
+            })
+        });
     }
     group.finish();
 
@@ -138,27 +133,20 @@ fn collect_cells(sweep: &[usize], lane_names: &[&'static str], epochs: usize) ->
                 solver: name,
                 mode: "parallel",
                 jobs,
-                block_size: 1,
                 ns_per_stream: ns,
                 fixes_per_sec: epochs as f64 / (ns * 1e-9),
                 speedup_vs_jobs1: baseline_ns / ns,
             });
         }
-        // Serial block cells are normalized to the serial block-1 cell,
-        // so their speedup column reads as the SoA win directly.
-        let serial_baseline_ns = lookup(format!("{name}.serial-block-1"));
-        for &bs in &BLOCK_SWEEP {
-            let ns = lookup(format!("{name}.serial-block-{bs}"));
-            cells.push(Cell {
-                solver: name,
-                mode: "serial",
-                jobs: 1,
-                block_size: bs,
-                ns_per_stream: ns,
-                fixes_per_sec: epochs as f64 / (ns * 1e-9),
-                speedup_vs_jobs1: serial_baseline_ns / ns,
-            });
-        }
+        let ns = lookup(format!("{name}.serial"));
+        cells.push(Cell {
+            solver: name,
+            mode: "serial",
+            jobs: 1,
+            ns_per_stream: ns,
+            fixes_per_sec: epochs as f64 / (ns * 1e-9),
+            speedup_vs_jobs1: baseline_ns / ns,
+        });
     }
     cells
 }
@@ -178,16 +166,10 @@ fn render_json(cells: &[Cell], epochs: usize) -> String {
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 == cells.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"solver\": \"{}\", \"mode\": \"{}\", \"jobs\": {}, \"block_size\": {}, \
+            "    {{\"solver\": \"{}\", \"mode\": \"{}\", \"jobs\": {}, \
              \"ns_per_stream\": {:.0}, \"fixes_per_sec\": {:.1}, \
              \"speedup_vs_jobs1\": {:.3}}}{comma}\n",
-            c.solver,
-            c.mode,
-            c.jobs,
-            c.block_size,
-            c.ns_per_stream,
-            c.fixes_per_sec,
-            c.speedup_vs_jobs1
+            c.solver, c.mode, c.jobs, c.ns_per_stream, c.fixes_per_sec, c.speedup_vs_jobs1
         ));
     }
     out.push_str("  ]\n}\n");

@@ -2,29 +2,44 @@
 //! allocation-free once warm.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` made by
-//! the test binary. Each solver is run once to warm its context (the
-//! buffers grow to the epoch's dimensions on first use), then the
+//! the measuring thread. Each solver is run once to warm its context
+//! (the buffers grow to the epoch's dimensions on first use), then the
 //! counter is sampled around a batch of steady-state solves: the delta
 //! must be exactly zero. The same check covers the batched [`Engine`]
 //! and the RAIM happy path, which together form the per-epoch loop of
 //! every downstream consumer.
+//!
+//! The counters are thread-local so allocations made by other tests
+//! running in parallel (and by libtest's own threads) don't pollute the
+//! window — only the thread exercising the hot path is measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use gps_bench::{fixture_epochs, fixture_epochs_multi};
 use gps_core::{
-    Bancroft, Dlg, Dlo, Engine, Epoch, EpochBlock, EpochJob, GlsPath, NewtonRaphson,
-    ParallelEngine, Raim, SolveContext, Solver, WorkerLanes, BLOCK_LANES,
+    Bancroft, Dlg, Dlo, Engine, Epoch, GlsPath, NewtonRaphson, ParallelEngine, Raim, SolveContext,
+    Solver, WorkerLanes,
 };
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // Cell-based, const-initialized, non-Drop TLS: reading it never
+    // allocates, so this is safe to call from inside the allocator.
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|a| a.set(a.get() + 1));
+    }
+}
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -41,15 +56,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on the
+/// calling thread.
 fn allocations_during(mut f: impl FnMut()) -> u64 {
-    let before = allocation_count();
+    let before = ALLOCATIONS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
     f();
-    allocation_count() - before
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn assert_zero_alloc_after_warmup(solver: &dyn Solver, bias: f64) {
@@ -198,99 +212,6 @@ fn parallel_worker_epoch_loop_is_allocation_free_when_warm() {
     assert_eq!(
         allocs, 0,
         "worker lanes allocated {allocs} time(s) after warm-up"
-    );
-}
-
-/// A uniform-shape job stream for block feeding: `count` epochs of
-/// `m` satellites each.
-fn block_stream(m: usize, count: usize, seed: u64) -> Vec<EpochJob> {
-    fixture_epochs(m, seed)
-        .into_iter()
-        .cycle()
-        .take(count)
-        .map(|meas| EpochJob::new(meas, 12.0))
-        .collect()
-}
-
-#[test]
-fn dlo_soa_block_path_is_allocation_free_when_warm() {
-    // The SoA kernel works entirely in stack arrays; the only heap
-    // touched is the caller's reused `out` vector, which warm-up grows
-    // to BLOCK_LANES once.
-    let jobs = block_stream(6, 2 * BLOCK_LANES, 109);
-    let solver = Dlo::default();
-    let mut ctx = SolveContext::new();
-    let mut out = Vec::new();
-
-    let mut feed = |out: &mut Vec<_>| {
-        let mut rest = jobs.as_slice();
-        let mut solved = 0usize;
-        while let Some((block, tail)) = EpochBlock::split_first(rest, BLOCK_LANES) {
-            out.clear();
-            solver.solve_block(&block, &mut ctx, out);
-            solved += out.iter().filter(|r| r.is_ok()).count();
-            rest = tail;
-        }
-        solved
-    };
-    let warm = feed(&mut out);
-    assert_eq!(warm, jobs.len(), "a lane failed a clean epoch");
-
-    let allocs = allocations_during(|| {
-        assert_eq!(feed(&mut out), jobs.len());
-    });
-    assert_eq!(
-        allocs, 0,
-        "DLO block path allocated {allocs} time(s) after warm-up"
-    );
-}
-
-#[test]
-fn engine_blocked_loop_is_allocation_free_when_warm() {
-    let jobs = block_stream(8, 3 * BLOCK_LANES, 113);
-    let mut engine = Engine::all_solvers();
-    // Warm-up grows every lane's context and block scratch.
-    let warm = engine.run_blocked(&jobs, BLOCK_LANES);
-    assert_eq!(warm, jobs.len() * engine.lanes().len());
-
-    let allocs = allocations_during(|| {
-        let solved = engine.run_blocked(&jobs, BLOCK_LANES);
-        assert_eq!(solved, jobs.len() * engine.lanes().len());
-    });
-    assert_eq!(
-        allocs, 0,
-        "Engine block mode allocated {allocs} time(s) after warm-up"
-    );
-}
-
-#[test]
-fn parallel_worker_block_loop_is_allocation_free_when_warm() {
-    // A blocked pool worker's steady state: solve_block_into with the
-    // reused per-lane outcome buffers. (The per-epoch channel sends
-    // clone the results; that cost is per-batch plumbing outside the
-    // solve loop and outside this probe.)
-    let jobs = block_stream(6, 2 * BLOCK_LANES, 127);
-    let roster = ParallelEngine::all_solvers();
-    let mut worker = WorkerLanes::new(roster.solvers());
-    let mut per_lane: Vec<Vec<_>> = (0..worker.len()).map(|_| Vec::new()).collect();
-
-    let feed = |worker: &mut WorkerLanes, per_lane: &mut [Vec<_>]| {
-        let mut rest = jobs.as_slice();
-        let mut offset = 0u32;
-        while let Some((block, tail)) = EpochBlock::split_first(rest, BLOCK_LANES) {
-            worker.solve_block_into(&block, offset, per_lane);
-            offset += block.lanes() as u32;
-            rest = tail;
-        }
-    };
-    feed(&mut worker, &mut per_lane);
-
-    let allocs = allocations_during(|| {
-        feed(&mut worker, &mut per_lane);
-    });
-    assert_eq!(
-        allocs, 0,
-        "worker block lanes allocated {allocs} time(s) after warm-up"
     );
 }
 

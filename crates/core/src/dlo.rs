@@ -315,140 +315,6 @@ impl Dlo {
         instrument::dlo_solves().inc();
         Ok(Solution::new(position, None, 1, rms))
     }
-
-    /// Structure-of-arrays lock-step solve: all lanes of a same-shape
-    /// block gathered lane-inner and pushed through one row loop, so
-    /// the normal-equation accumulation autovectorizes *across epochs*.
-    ///
-    /// Per-lane operation order is exactly [`Dlo::solve_stack`]'s — the
-    /// loop interchange reorders work between lanes, never within one —
-    /// so every lane's result (and error) is bit-identical to the
-    /// per-epoch path.
-    // lint: no_alloc
-    fn solve_block_soa(
-        &self,
-        block: &crate::EpochBlock<'_>,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        use crate::block::BLOCK_LANES;
-        use gps_linalg::LinalgError;
-
-        let lanes = block.lanes();
-        let m = block.measurements_per_epoch();
-
-        // Per-lane scalar gather (validation and base selection are
-        // inherently per-epoch); padded lanes get an error that is never
-        // read.
-        let sys: [Result<StackLinearization, SolveError>; BLOCK_LANES] =
-            core::array::from_fn(|l| {
-                if l < lanes {
-                    let epoch = block.epoch(l);
-                    linearize_stack(
-                        epoch.measurements,
-                        epoch.predicted_receiver_bias_m,
-                        self.base,
-                    )
-                } else {
-                    Err(SolveError::NonFinite)
-                }
-            });
-
-        // SoA transpose: row-major per lane → lane-inner per row, so the
-        // accumulation loop below reads contiguous `[f64; BLOCK_LANES]`
-        // vectors. Failed lanes stay zeroed (harmless arithmetic).
-        let rows = m - 1;
-        let mut ax = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        let mut ay = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        let mut az = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        let mut dd = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        for (l, lane_sys) in sys.iter().enumerate().take(lanes) {
-            if let Ok(s) = lane_sys {
-                for r in 0..rows {
-                    let row = s.a.row(r);
-                    ax[r][l] = row[0];
-                    ay[r][l] = row[1];
-                    az[r][l] = row[2];
-                    dd[r][l] = s.d.as_slice()[r];
-                }
-            }
-        }
-
-        // Lock-step normal-equation accumulation: per lane this adds the
-        // same products to the same accumulators in the same row order as
-        // the scalar `stack::ols3`, so each lane's sums are bit-equal.
-        let mut g00 = [0.0_f64; BLOCK_LANES];
-        let mut g01 = [0.0_f64; BLOCK_LANES];
-        let mut g02 = [0.0_f64; BLOCK_LANES];
-        let mut g11 = [0.0_f64; BLOCK_LANES];
-        let mut g12 = [0.0_f64; BLOCK_LANES];
-        let mut g22 = [0.0_f64; BLOCK_LANES];
-        let mut c0 = [0.0_f64; BLOCK_LANES];
-        let mut c1 = [0.0_f64; BLOCK_LANES];
-        let mut c2 = [0.0_f64; BLOCK_LANES];
-        for r in 0..rows {
-            let (x, y, z, w) = (&ax[r], &ay[r], &az[r], &dd[r]);
-            for l in 0..BLOCK_LANES {
-                g00[l] += x[l] * x[l];
-                g01[l] += x[l] * y[l];
-                g02[l] += x[l] * z[l];
-                g11[l] += y[l] * y[l];
-                g12[l] += y[l] * z[l];
-                g22[l] += z[l] * z[l];
-                c0[l] += x[l] * w[l];
-                c1[l] += y[l] * w[l];
-                c2[l] += z[l] * w[l];
-            }
-        }
-
-        // Per-lane epilogue: the scalar ols3 input check, singular test,
-        // Cramer solve and residual — identical statements, lane data.
-        for (l, lane_sys) in sys.into_iter().enumerate().take(lanes) {
-            let s = match lane_sys {
-                Ok(s) => s,
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            // Mirror of `stack::check_kernel` for this shape: the shape
-            // arms cannot fire (m ≥ 4 ⇒ rows ≥ 3, d is built alongside
-            // a), leaving only the finiteness scan.
-            let finite =
-                s.a.active_rows()
-                    .iter()
-                    .all(|row| row.iter().all(|v| v.is_finite()))
-                    && s.d.as_slice().iter().all(|v| v.is_finite());
-            if !finite {
-                out.push(Err(LinalgError::NonFinite.into()));
-                continue;
-            }
-            let det = g00[l] * (g11[l] * g22[l] - g12[l] * g12[l])
-                - g01[l] * (g01[l] * g22[l] - g12[l] * g02[l])
-                + g02[l] * (g01[l] * g12[l] - g11[l] * g02[l]);
-            let scale = [g00[l], g11[l], g22[l]].into_iter().fold(0.0f64, f64::max);
-            if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-                out.push(Err(LinalgError::Singular.into()));
-                continue;
-            }
-            let x0 = (c0[l] * (g11[l] * g22[l] - g12[l] * g12[l])
-                - g01[l] * (c1[l] * g22[l] - g12[l] * c2[l])
-                + g02[l] * (c1[l] * g12[l] - g11[l] * c2[l]))
-                / det;
-            let x1 = (g00[l] * (c1[l] * g22[l] - c2[l] * g12[l])
-                - c0[l] * (g01[l] * g22[l] - g12[l] * g02[l])
-                + g02[l] * (g01[l] * c2[l] - c1[l] * g02[l]))
-                / det;
-            let x2 = (g00[l] * (g11[l] * c2[l] - g12[l] * c1[l])
-                - g01[l] * (g01[l] * c2[l] - c1[l] * g02[l])
-                + c0[l] * (g01[l] * g12[l] - g11[l] * g02[l]))
-                / det;
-            let position = Ecef::new(x0, x1, x2);
-            let rms =
-                residual_rms_scaled_stack(&s.a, &s.d, &s.corrected[..m], s.base_index, position);
-            instrument::dlo_solves().inc();
-            out.push(Ok(Solution::new(position, None, 1, rms)));
-        }
-    }
 }
 
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
@@ -499,26 +365,6 @@ impl crate::Solver for Dlo {
             }
         }
         Ok(Solution::new(position, None, 1, rms))
-    }
-
-    // lint: no_alloc
-    fn solve_block(
-        &self,
-        block: &crate::EpochBlock<'_>,
-        ctx: &mut crate::SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        if !crate::solver::stack_lane(ctx, block.measurements_per_epoch()) {
-            // Heap lane (cap exceeded, detail telemetry, or explicitly
-            // disabled): the scalar loop preserves exact semantics.
-            instrument::block_fallback().inc();
-            for epoch in block.epochs() {
-                out.push(crate::Solver::solve(self, &epoch, ctx));
-            }
-            return;
-        }
-        instrument::block_solves().inc();
-        self.solve_block_soa(block, out);
     }
 
     fn name(&self) -> &'static str {

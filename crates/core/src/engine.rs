@@ -12,10 +12,9 @@
 
 use std::time::{Duration, Instant};
 
-use crate::instrument;
 use crate::{
-    Bancroft, Dlg, Dlo, Epoch, EpochBlock, EpochJob, Measurement, NewtonRaphson, Solution,
-    SolveContext, SolveError, Solver,
+    Bancroft, Dlg, Dlo, Epoch, Measurement, NewtonRaphson, Solution, SolveContext, SolveError,
+    Solver,
 };
 
 /// Running tallies for one [`Lane`].
@@ -56,9 +55,6 @@ pub struct Lane {
     /// Cached handle to `core.lane_solve_us.<solver>` — obtained once
     /// here so the timed epoch path records with atomics only.
     latency_us: gps_telemetry::Histogram,
-    /// Per-block result scratch for [`Engine::run_block`]; reused so the
-    /// steady-state block path allocates nothing.
-    block_out: Vec<Result<Solution, SolveError>>,
 }
 
 impl Lane {
@@ -72,7 +68,6 @@ impl Lane {
             stats: LaneStats::default(),
             last: None,
             latency_us,
-            block_out: Vec::new(),
         }
     }
 
@@ -113,28 +108,6 @@ impl Lane {
             self.stats.failed += 1;
         }
         self.last = Some(result);
-        solved
-    }
-
-    /// Runs one same-shape block through the lane, tallying every lane
-    /// epoch; returns how many solved. `last` ends on the block's final
-    /// epoch — exactly where per-epoch feeding would leave it.
-    // lint: no_alloc
-    fn run_block_untimed(&mut self, block: &EpochBlock<'_>) -> usize {
-        self.block_out.clear();
-        self.solver
-            .solve_block(block, &mut self.ctx, &mut self.block_out);
-        let mut solved = 0;
-        for result in self.block_out.drain(..) {
-            self.stats.epochs += 1;
-            if result.is_ok() {
-                self.stats.solved += 1;
-                solved += 1;
-            } else {
-                self.stats.failed += 1;
-            }
-            self.last = Some(result);
-        }
         solved
     }
 }
@@ -259,56 +232,6 @@ impl Engine {
             for lane in &mut self.lanes {
                 solved += usize::from(lane.run_untimed(&epoch));
             }
-        }
-        solved
-    }
-
-    /// Feeds one same-shape [`EpochBlock`] to every lane; returns how
-    /// many lane-epochs solved (up to `lanes × block.lanes()`).
-    ///
-    /// Solvers with a structure-of-arrays kernel (DLO) solve the block
-    /// lock-step; the rest loop the scalar path. Per-epoch results and
-    /// statistics are identical to feeding the epochs one at a time
-    /// through [`Engine::run_epoch`] — with timing on, the per-lane
-    /// `core.lane_solve_us.*` histogram records the block's *mean*
-    /// per-epoch latency once per block instead of one sample per epoch.
-    // lint: no_alloc
-    pub fn run_block(&mut self, block: &EpochBlock<'_>) -> usize {
-        instrument::block_lanes().record(block.lanes() as f64);
-        self.epochs += block.lanes() as u64;
-        let mut solved = 0;
-        if self.timing {
-            let lanes_f = block.lanes() as f64;
-            let mut stamp = Instant::now();
-            for lane in &mut self.lanes {
-                solved += lane.run_block_untimed(block);
-                let now = Instant::now();
-                let took = now - stamp;
-                lane.stats.total_time += took;
-                lane.latency_us.record(took.as_secs_f64() * 1e6 / lanes_f);
-                stamp = now;
-            }
-        } else {
-            for lane in &mut self.lanes {
-                solved += lane.run_block_untimed(block);
-            }
-        }
-        solved
-    }
-
-    /// Runs a whole epoch stream in block mode: the stream is split
-    /// into consecutive same-shape blocks of at most `block_size` lanes
-    /// ([`EpochBlock::split_first`]) and each is fed through
-    /// [`Engine::run_block`]. Returns the total lane-epochs solved.
-    ///
-    /// `block_size = 1` degenerates to per-epoch feeding; results are
-    /// bit-identical at every block size.
-    pub fn run_blocked(&mut self, stream: &[EpochJob], block_size: usize) -> usize {
-        let mut rest = stream;
-        let mut solved = 0;
-        while let Some((block, tail)) = EpochBlock::split_first(rest, block_size) {
-            solved += self.run_block(&block);
-            rest = tail;
         }
         solved
     }
@@ -446,80 +369,6 @@ mod tests {
         engine.run_epoch(&measurements(0.0), 0.0);
         for lane in engine.lanes() {
             assert!(lane.stats().total_time > Duration::ZERO, "{}", lane.name());
-        }
-    }
-
-    #[test]
-    fn block_mode_matches_per_epoch_feeding() {
-        // Mixed shapes and a failing epoch: the blocked run must tally
-        // and report exactly what per-epoch feeding does, at any block
-        // size, including the SoA DLO lane.
-        let base = measurements(0.0);
-        let stream: Vec<EpochJob> = [6usize, 6, 6, 4, 5, 5, 3, 6, 6, 6, 6, 6]
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| EpochJob::new(base[..n].to_vec(), 1e-3 * i as f64))
-            .collect();
-
-        let mut reference = Engine::all_solvers().with_timing(false);
-        let mut ref_results: Vec<Vec<Result<Solution, SolveError>>> = Vec::new();
-        for job in &stream {
-            reference.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
-            ref_results.push(
-                reference
-                    .lanes()
-                    .iter()
-                    .map(|lane| lane.last().unwrap().clone())
-                    .collect(),
-            );
-        }
-
-        // Single-lane blocks expose every epoch's outcome through the
-        // blocked entry point: each must be bit-identical to run_epoch.
-        let mut single = Engine::all_solvers().with_timing(false);
-        let mut singles: Vec<Vec<Result<Solution, SolveError>>> = Vec::new();
-        for job in &stream {
-            let one = [job.clone()];
-            let block = EpochBlock::new(&one).unwrap();
-            single.run_block(&block);
-            singles.push(
-                single
-                    .lanes()
-                    .iter()
-                    .map(|lane| lane.last().unwrap().clone())
-                    .collect(),
-            );
-        }
-        assert_eq!(singles, ref_results, "single-lane block path diverges");
-
-        // Wider blocks: aggregate statistics and the final outcome must
-        // match exactly at every block size.
-        for block_size in [4usize, 8] {
-            let mut blocked = Engine::all_solvers().with_timing(false);
-            blocked.run_blocked(&stream, block_size);
-            assert_eq!(blocked.epochs(), reference.epochs(), "bs={block_size}");
-            for (b, r) in blocked.lanes().iter().zip(reference.lanes()) {
-                assert_eq!(b.stats().epochs, r.stats().epochs, "bs={block_size}");
-                assert_eq!(b.stats().solved, r.stats().solved, "bs={block_size}");
-                assert_eq!(b.stats().failed, r.stats().failed, "bs={block_size}");
-                assert_eq!(b.last(), r.last(), "bs={block_size} {}", b.name());
-            }
-        }
-    }
-
-    #[test]
-    fn run_blocked_covers_the_whole_stream() {
-        let base = measurements(0.0);
-        let stream: Vec<EpochJob> = (0..13)
-            .map(|i| EpochJob::new(base.clone(), 1e-3 * f64::from(i)))
-            .collect();
-        let mut engine = Engine::all_solvers();
-        let solved = engine.run_blocked(&stream, 8);
-        assert_eq!(solved, 13 * 4);
-        assert_eq!(engine.epochs(), 13);
-        for lane in engine.lanes() {
-            assert_eq!(lane.stats().epochs, 13);
-            assert_eq!(lane.stats().solved, 13);
         }
     }
 

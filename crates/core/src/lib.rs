@@ -55,7 +55,6 @@
 
 mod bancroft;
 mod base;
-mod block;
 mod dlg;
 mod dlo;
 mod dop;
@@ -80,7 +79,6 @@ mod velocity;
 
 pub use bancroft::Bancroft;
 pub use base::BaseSelection;
-pub use block::{EpochBlock, BLOCK_LANES};
 pub use dlg::{CovarianceModel, Dlg, GlsPath};
 pub use dlo::{linearize, Dlo, LinearSystem};
 pub use dop::Dop;

@@ -36,8 +36,8 @@ use gps_pool::ThreadPool;
 use gps_telemetry::recorder::{self, RecordKind};
 
 use crate::{
-    Bancroft, Dlg, Dlo, Epoch, EpochBlock, LaneStats, Measurement, NewtonRaphson, Solution,
-    SolveContext, SolveError, Solver,
+    Bancroft, Dlg, Dlo, Epoch, LaneStats, Measurement, NewtonRaphson, Solution, SolveContext,
+    SolveError, Solver,
 };
 
 /// One owned epoch of a batch stream: the measurements plus the
@@ -184,57 +184,6 @@ impl WorkerLanes {
             stamp = now;
         }
     }
-
-    /// Runs one same-shape [`EpochBlock`] through every lane, filling
-    /// `per_lane[lane]` with one result per block epoch (lane order
-    /// outer, epoch order inner). `per_lane.len()` must equal
-    /// [`WorkerLanes::len`].
-    ///
-    /// Block-mode observability is coarser than the per-epoch path:
-    /// one flight record and one `core.lane_solve_us.*` sample (the
-    /// block's mean per-epoch latency) per lane per block, stamped with
-    /// the block's first epoch id.
-    // lint: no_alloc
-    pub fn solve_block_into(
-        &mut self,
-        block: &EpochBlock<'_>,
-        first_epoch_id: u32,
-        per_lane: &mut [Vec<Result<Solution, SolveError>>],
-    ) {
-        debug_assert_eq!(per_lane.len(), self.lanes.len());
-        crate::instrument::block_lanes().record(block.lanes() as f64);
-        recorder::record_current(
-            RecordKind::EpochStart,
-            block.measurements_per_epoch() as u16,
-            first_epoch_id,
-            0,
-            0,
-        );
-        let lanes_f = block.lanes() as f64;
-        let mut stamp = Instant::now();
-        for ((((solver, ctx), time), meta), out) in self
-            .lanes
-            .iter_mut()
-            .zip(self.lane_time.iter_mut())
-            .zip(self.lane_meta.iter())
-            .zip(per_lane.iter_mut())
-        {
-            out.clear();
-            solver.solve_block(block, ctx, out);
-            let now = Instant::now();
-            let took = now - stamp;
-            *time += took;
-            meta.latency_us.record(took.as_secs_f64() * 1e6 / lanes_f);
-            recorder::record_current(
-                RecordKind::LaneSolve,
-                block.lanes() as u16,
-                first_epoch_id,
-                meta.tag,
-                took.as_nanos() as u64,
-            );
-            stamp = now;
-        }
-    }
 }
 
 /// What one worker did during a [`ParallelEngine::run`].
@@ -286,18 +235,6 @@ impl ParallelRun {
     #[must_use]
     pub fn epochs(&self) -> usize {
         self.outcomes.len()
-    }
-
-    /// Successful fixes per second for one lane (lane solved count over
-    /// the batch wall-clock).
-    #[must_use]
-    pub fn lane_fixes_per_sec(&self, lane: usize) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.lane_stats[lane].solved as f64 / elapsed
-        }
     }
 
     /// Successful fixes per second across all lanes.
@@ -447,111 +384,7 @@ impl ParallelEngine {
         }
         drop(result_tx);
         drop(report_tx);
-        self.collect_run(lane_names, total, result_rx, report_rx, started)
-    }
 
-    /// Block-mode [`ParallelEngine::run_shared`]: workers claim
-    /// `block_size` consecutive epochs per cursor bump, split each
-    /// claim into same-shape [`EpochBlock`]s and solve them lock-step
-    /// via [`WorkerLanes::solve_block_into`]. Results are still sent
-    /// and merged **per epoch**, so the returned [`ParallelRun`] is
-    /// bit-for-bit identical to [`ParallelEngine::run_shared`]'s for
-    /// any `block_size` and worker count (pinned by
-    /// `tests/parallel_parity.rs`).
-    ///
-    /// `block_size` is clamped to at least 1; values above
-    /// [`crate::BLOCK_LANES`] coarsen only the claim granularity (each
-    /// claim then yields several blocks).
-    #[must_use]
-    pub fn run_blocked(
-        &self,
-        pool: &ThreadPool,
-        stream: Arc<Vec<EpochJob>>,
-        block_size: usize,
-    ) -> ParallelRun {
-        let started = Instant::now();
-        let lane_names: Vec<&'static str> = self.solvers.iter().map(|s| s.name()).collect();
-        let total = stream.len();
-        if total == 0 || self.solvers.is_empty() {
-            return ParallelRun {
-                outcomes: stream.iter().map(|_| Vec::new()).collect(),
-                lane_names,
-                lane_stats: vec![LaneStats::default(); self.solvers.len()],
-                workers: Vec::new(),
-                elapsed: started.elapsed(),
-            };
-        }
-        let block_size = block_size.max(1);
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Vec<Result<Solution, SolveError>>)>();
-        let (report_tx, report_rx) = mpsc::channel::<WorkerReport>();
-        let jobs = pool.jobs().min(total.div_ceil(block_size));
-        for worker in 0..jobs {
-            let stream = Arc::clone(&stream);
-            let cursor = Arc::clone(&cursor);
-            let result_tx = result_tx.clone();
-            let report_tx = report_tx.clone();
-            let mut lanes = WorkerLanes::new(&self.solvers);
-            pool.submit(move || {
-                let mut processed = 0u64;
-                let mut busy = Duration::ZERO;
-                // Warm per-lane result scratch, reused across blocks.
-                let mut per_lane: Vec<Vec<Result<Solution, SolveError>>> =
-                    (0..lanes.len()).map(|_| Vec::new()).collect();
-                'claims: loop {
-                    let start = cursor.fetch_add(block_size, Ordering::Relaxed);
-                    if start >= total {
-                        break;
-                    }
-                    let end = (start + block_size).min(total);
-                    let mut chunk = &stream[start..end];
-                    let mut offset = start;
-                    let claimed = Instant::now();
-                    while let Some((block, tail)) = EpochBlock::split_first(chunk, block_size) {
-                        lanes.solve_block_into(&block, offset as u32, &mut per_lane);
-                        // Per-epoch sequence-stamped sends: the merge is
-                        // the same as the per-epoch run's.
-                        for e in 0..block.lanes() {
-                            let out: Vec<Result<Solution, SolveError>> = per_lane
-                                .iter()
-                                .map(|lane_out| lane_out[e].clone())
-                                .collect();
-                            if result_tx.send((offset + e, out)).is_err() {
-                                break 'claims; // collector bailed out
-                            }
-                        }
-                        processed += block.lanes() as u64;
-                        offset += block.lanes();
-                        chunk = tail;
-                    }
-                    busy += claimed.elapsed();
-                }
-                let _ = report_tx.send(WorkerReport {
-                    worker,
-                    epochs: processed,
-                    busy,
-                    lane_time: lanes.lane_time().to_vec(),
-                });
-            });
-        }
-        drop(result_tx);
-        drop(report_tx);
-        self.collect_run(lane_names, total, result_rx, report_rx, started)
-    }
-
-    /// Drains the result and report channels of a sharded run and
-    /// assembles the deterministic [`ParallelRun`] — shared by
-    /// [`ParallelEngine::run_shared`] and
-    /// [`ParallelEngine::run_blocked`], whose worker loops differ only
-    /// in claim granularity.
-    fn collect_run(
-        &self,
-        lane_names: Vec<&'static str>,
-        total: usize,
-        result_rx: mpsc::Receiver<(usize, Vec<Result<Solution, SolveError>>)>,
-        report_rx: mpsc::Receiver<WorkerReport>,
-        started: Instant,
-    ) -> ParallelRun {
         // Reassemble in epoch order: slot `seq` takes message `seq`.
         let mut slots: Vec<Option<Vec<Result<Solution, SolveError>>>> =
             (0..total).map(|_| None).collect();
@@ -685,34 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_run_matches_per_epoch_run() {
-        // Mixed shapes force block splits mid-claim; a short epoch is
-        // below every solver's minimum so error lanes round-trip too.
-        let base = measurements(0.0);
-        let mut input = stream(30);
-        for (i, job) in input.iter_mut().enumerate() {
-            job.measurements.truncate([6, 6, 5, 6, 4, 6][i % 6]);
-        }
-        input.insert(7, EpochJob::new(base[..3].to_vec(), 0.0));
-
-        let pool = ThreadPool::new(2);
-        let engine = ParallelEngine::all_solvers();
-        let shared = Arc::new(input);
-        let reference = engine.run_shared(&pool, Arc::clone(&shared));
-        for block_size in [1usize, 4, 8] {
-            let blocked = engine.run_blocked(&pool, Arc::clone(&shared), block_size);
-            assert_eq!(blocked.outcomes, reference.outcomes, "bs={block_size}");
-            for (b, r) in blocked.lane_stats.iter().zip(&reference.lane_stats) {
-                assert_eq!(b.epochs, r.epochs, "bs={block_size}");
-                assert_eq!(b.solved, r.solved, "bs={block_size}");
-                assert_eq!(b.failed, r.failed, "bs={block_size}");
-            }
-            let claimed: u64 = blocked.workers.iter().map(|w| w.epochs).sum();
-            assert_eq!(claimed, shared.len() as u64, "bs={block_size}");
-        }
-    }
-
-    #[test]
     fn worker_reports_cover_the_stream() {
         let pool = ThreadPool::new(3);
         let run = ParallelEngine::all_solvers().run(&pool, stream(40));
@@ -726,7 +531,6 @@ mod tests {
         }
         assert!(run.elapsed > Duration::ZERO);
         assert!(run.total_fixes_per_sec() > 0.0);
-        assert!(run.lane_fixes_per_sec(1) > 0.0);
     }
 
     #[test]

@@ -56,6 +56,10 @@ use crate::measurement::Measurement;
 use crate::resilient::ResilientFix;
 use crate::session::Session;
 
+/// Epochs a shard round drains per lock acquisition once its queue is
+/// at least this deep (see [`run_shard_round`]).
+const DRAIN_BATCH: usize = 8;
+
 /// Service tuning. `Default` is sized for tests and smokes; the CLI
 /// scales it up.
 #[derive(Debug, Clone, Copy)]
@@ -524,8 +528,8 @@ struct DrainedEpoch {
 /// One shard's work for one round: drain the queue, route each epoch
 /// by deadline, journal, and report. Runs inside a pool job. With a
 /// shallow queue the lock is taken per epoch so `ingest` interleaves
-/// cleanly; once the queue is at least [`crate::BLOCK_LANES`] deep the
-/// round drains a block's worth per lock acquisition instead —
+/// cleanly; once the queue is at least [`DRAIN_BATCH`] deep the
+/// round drains that many epochs per lock acquisition instead —
 /// latency is backlog-dominated at that point, so amortizing the lock
 /// (and feeding the solvers back-to-back epochs) is pure win. Epoch
 /// outcomes are identical either way: FIFO order and per-epoch session
@@ -552,7 +556,7 @@ fn run_shard_round(
     }
     // Reused batch scratch: epochs processed under one lock hold,
     // journaled and reported after it drops.
-    let mut drained: Vec<DrainedEpoch> = Vec::with_capacity(crate::BLOCK_LANES);
+    let mut drained: Vec<DrainedEpoch> = Vec::with_capacity(DRAIN_BATCH);
     loop {
         let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
         let depth = guard.queue.len();
@@ -561,9 +565,9 @@ fn run_shard_round(
         }
         // Deep queue → batch drain (see fn docs); shallow → one epoch
         // per lock so ingest interleaves.
-        let batch = if depth >= crate::BLOCK_LANES {
+        let batch = if depth >= DRAIN_BATCH {
             metrics.batch_drains.inc();
-            crate::BLOCK_LANES
+            DRAIN_BATCH
         } else {
             1
         };
@@ -978,14 +982,14 @@ mod tests {
 
     #[test]
     fn deep_queue_batch_drain_preserves_fifo_sessions() {
-        // A queue deeper than BLOCK_LANES triggers the batch drain path;
+        // A queue deeper than DRAIN_BATCH triggers the batch drain path;
         // outcomes must be indistinguishable from per-epoch draining:
         // every epoch solved, per-receiver seqs strictly in order.
         let mut config = quick_config();
         config.shards = 1;
-        config.queue_capacity = 2 * crate::BLOCK_LANES + 4;
+        config.queue_capacity = 2 * DRAIN_BATCH + 4;
         let mut service = PositioningService::new(config);
-        let total = 2 * crate::BLOCK_LANES + 3; // odd tail exercises batch=1
+        let total = 2 * DRAIN_BATCH + 3; // odd tail exercises batch=1
         for i in 0..total as u64 {
             assert_eq!(service.ingest(good_epoch(i % 3, 5.0)), IngestResult::Queued);
         }

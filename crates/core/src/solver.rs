@@ -29,7 +29,6 @@ use std::fmt;
 use gps_linalg::lstsq::LstsqScratch;
 use gps_linalg::{Matrix, Vector};
 
-use crate::block::EpochBlock;
 use crate::{Measurement, PositionSolver, Solution, SolveError};
 
 /// One epoch of solver input: a borrowed slice of satellite
@@ -199,28 +198,6 @@ pub trait Solver: fmt::Debug + Send + Sync {
     /// solvers) the iteration fails to converge.
     fn solve(&self, epoch: &Epoch<'_>, ctx: &mut SolveContext) -> Result<Solution, SolveError>;
 
-    /// Solves every lane of a same-shape [`EpochBlock`], appending one
-    /// result per lane to `out` in lane order (callers clear `out`).
-    ///
-    /// The default implementation loops [`Solver::solve`], so every
-    /// solver accepts block feeding; solvers with a structure-of-arrays
-    /// lock-step kernel ([`crate::Dlo`]) override it. Either way each
-    /// lane's result is **bit-for-bit identical** to a per-epoch
-    /// [`Solver::solve`] of the same lane — block mode is a throughput
-    /// knob, never a semantics knob.
-    // lint: no_alloc
-    fn solve_block(
-        &self,
-        block: &EpochBlock<'_>,
-        ctx: &mut SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        crate::instrument::block_fallback().inc();
-        for epoch in block.epochs() {
-            out.push(self.solve(&epoch, ctx));
-        }
-    }
-
     /// Short algorithm name for reports ("NR", "DLO", "DLG", "Bancroft").
     fn name(&self) -> &'static str;
 
@@ -254,17 +231,6 @@ impl<S: Solver + ?Sized> Solver for &S {
         (**self).solve(epoch, ctx)
     }
 
-    // Forwarded explicitly: the provided default would loop `solve` and
-    // silently bypass the inner solver's SoA override.
-    fn solve_block(
-        &self,
-        block: &EpochBlock<'_>,
-        ctx: &mut SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        (**self).solve_block(block, ctx, out);
-    }
-
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -289,17 +255,6 @@ impl<S: Solver + ?Sized> Solver for &S {
 impl<S: Solver + ?Sized> Solver for Box<S> {
     fn solve(&self, epoch: &Epoch<'_>, ctx: &mut SolveContext) -> Result<Solution, SolveError> {
         (**self).solve(epoch, ctx)
-    }
-
-    // Forwarded explicitly: the provided default would loop `solve` and
-    // silently bypass the inner solver's SoA override.
-    fn solve_block(
-        &self,
-        block: &EpochBlock<'_>,
-        ctx: &mut SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        (**self).solve_block(block, ctx, out);
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,6 @@
-//! Parallel-engine parity: any worker count, any claim order, and —
-//! since the SoA refactor — any `block_size` must produce outcomes
-//! bit-for-bit identical to a serial sweep of the same stream.
+//! Parallel-engine parity: any worker count and any claim order must
+//! produce outcomes bit-for-bit identical to a serial sweep of the same
+//! stream.
 
 use gps_core::{
     Bancroft, Dlg, Dlo, Epoch, EpochJob, Measurement, NewtonRaphson, ParallelEngine, SolveContext,
@@ -39,8 +39,8 @@ fn random_epoch(rng: &mut StdRng, m: usize) -> Vec<Measurement> {
 }
 
 /// A mixed-shape stream: runs of m=6 broken up by m=5, m=4 and one
-/// under-determined m=3 epoch, so blocks split mid-stream and the
-/// fallback + error paths are all exercised.
+/// under-determined m=3 epoch, so context buffers change shape
+/// mid-stream and the error paths are exercised.
 fn mixed_stream(len: usize) -> Vec<EpochJob> {
     let mut rng = StdRng::seed_from_u64(0xB10C_0001);
     (0..len)
@@ -57,7 +57,7 @@ fn mixed_stream(len: usize) -> Vec<EpochJob> {
 }
 
 #[test]
-fn blocked_run_is_bit_identical_to_serial_and_shared() {
+fn shared_run_is_bit_identical_to_serial() {
     let engine = ParallelEngine::all_solvers();
     let stream = Arc::new(mixed_stream(33));
 
@@ -84,32 +84,19 @@ fn blocked_run_is_bit_identical_to_serial_and_shared() {
         let pool = ThreadPool::new(workers);
         let shared = engine.run_shared(&pool, Arc::clone(&stream));
         assert_eq!(shared.outcomes, serial, "run_shared, {workers} workers");
-        for block_size in [1usize, 4, 8, 13] {
-            let blocked = engine.run_blocked(&pool, Arc::clone(&stream), block_size);
-            assert_eq!(
-                blocked.outcomes, serial,
-                "run_blocked bs={block_size}, {workers} workers"
-            );
-            for (lane, (b, s)) in blocked
-                .lane_stats
-                .iter()
-                .zip(shared.lane_stats.iter())
-                .enumerate()
-            {
-                assert_eq!(b.epochs, s.epochs, "lane {lane} epochs");
-                assert_eq!(b.solved, s.solved, "lane {lane} solved");
-                assert_eq!(b.failed, s.failed, "lane {lane} failed");
-            }
+        for (lane, stats) in shared.lane_stats.iter().enumerate() {
+            let solved = serial.iter().filter(|e| e[lane].is_ok()).count() as u64;
+            assert_eq!(stats.epochs, serial.len() as u64, "lane {lane} epochs");
+            assert_eq!(stats.solved, solved, "lane {lane} solved");
+            assert_eq!(stats.failed, stats.epochs - solved, "lane {lane} failed");
         }
     }
 }
 
 #[test]
-fn blocked_run_with_heap_only_lanes_matches_stack_lanes() {
-    // The block path must not change results even when the SoA kernel
-    // is unavailable (heap-only m above the cap would fall back the
-    // same way): compare stack-lane block run against a heap-lane
-    // serial sweep.
+fn shared_run_with_heap_only_lanes_matches_stack_lanes() {
+    // The lane choice must not change results: compare a stack-lane
+    // parallel run against a heap-lane serial sweep.
     let stream = Arc::new(mixed_stream(22));
     let engine = ParallelEngine::new()
         .with_solver(Box::new(Dlo::default()))
@@ -117,7 +104,7 @@ fn blocked_run_with_heap_only_lanes_matches_stack_lanes() {
         .with_solver(Box::new(NewtonRaphson::default()))
         .with_solver(Box::new(Bancroft));
     let pool = ThreadPool::new(2);
-    let blocked = engine.run_blocked(&pool, Arc::clone(&stream), 8);
+    let shared = engine.run_shared(&pool, Arc::clone(&stream));
 
     let mut heap_ctxs: Vec<SolveContext> = engine
         .solvers()
@@ -128,18 +115,18 @@ fn blocked_run_with_heap_only_lanes_matches_stack_lanes() {
         let epoch = Epoch::new(&job.measurements, job.predicted_receiver_bias_m);
         for (lane, solver) in engine.solvers().iter().enumerate() {
             let heap = solver.solve(&epoch, &mut heap_ctxs[lane]);
-            assert_eq!(blocked.outcomes[i][lane], heap, "epoch {i} lane {lane}");
+            assert_eq!(shared.outcomes[i][lane], heap, "epoch {i} lane {lane}");
         }
     }
 }
 
 #[test]
-fn degenerate_streams_are_safe_in_block_mode() {
+fn degenerate_streams_are_safe() {
     let engine = ParallelEngine::all_solvers();
     let pool = ThreadPool::new(2);
 
     // Empty stream.
-    let empty = engine.run_blocked(&pool, Arc::new(Vec::new()), 8);
+    let empty = engine.run_shared(&pool, Arc::new(Vec::new()));
     assert!(empty.outcomes.is_empty());
 
     // Every epoch under-determined.
@@ -147,7 +134,7 @@ fn degenerate_streams_are_safe_in_block_mode() {
     let bad: Vec<EpochJob> = (0..9)
         .map(|_| EpochJob::new(random_epoch(&mut rng, 2), 0.0))
         .collect();
-    let run = engine.run_blocked(&pool, Arc::new(bad), 4);
+    let run = engine.run_shared(&pool, Arc::new(bad));
     assert_eq!(run.outcomes.len(), 9);
     for per_epoch in &run.outcomes {
         assert!(per_epoch.iter().all(|r| r.is_err()));

@@ -7,8 +7,8 @@
 //! Seeded xoshiro256++ loops (no proptest in the offline build).
 
 use gps_core::{
-    Bancroft, CovarianceModel, Dlg, Dlo, Epoch, EpochBlock, EpochJob, GlsPath, Measurement,
-    NewtonRaphson, Solution, SolveContext, SolveError, Solver,
+    Bancroft, CovarianceModel, Dlg, Dlo, Epoch, GlsPath, Measurement, NewtonRaphson, Solution,
+    SolveContext, SolveError, Solver,
 };
 use gps_geodesy::{Ecef, Geodetic};
 use gps_rng::rngs::StdRng;
@@ -138,29 +138,5 @@ fn lanes_agree_on_degenerate_and_nonfinite_input() {
             &solver.solve(&Epoch::new(&collapsed, 0.0), &mut stack_ctx),
             &solver.solve(&Epoch::new(&collapsed, 0.0), &mut heap_ctx),
         );
-    }
-}
-
-#[test]
-fn solve_block_matches_per_epoch_solve_for_every_solver() {
-    // Block feeding (SoA for DLO, fallback loop elsewhere) must be
-    // bit-identical to scalar feeding, lane by lane.
-    let mut rng = StdRng::seed_from_u64(0x57AC_0003);
-    for solver in solvers() {
-        let jobs: Vec<EpochJob> = (0..8)
-            .map(|_| EpochJob::new(random_epoch(&mut rng, 6, 0.0), rng.gen_range(-5.0..5.0)))
-            .collect();
-        let block = EpochBlock::new(&jobs).expect("uniform shape");
-        let mut ctx = SolveContext::new();
-        let mut out = Vec::new();
-        solver.solve_block(&block, &mut ctx, &mut out);
-        assert_eq!(out.len(), jobs.len());
-        for (lane, job) in jobs.iter().enumerate() {
-            let scalar = solver.solve(
-                &Epoch::new(&job.measurements, job.predicted_receiver_bias_m),
-                &mut ctx,
-            );
-            assert_bits_eq(&out[lane], &scalar);
-        }
     }
 }

@@ -274,7 +274,10 @@ pub fn theta_vs_m(cfg: &ExperimentConfig) -> FigureReport {
         .elevation_mask_deg(cfg.elevation_mask_deg)
         .constellation(gps_orbits::Constellation::multi_gnss_nominal())
         .generate(&station);
-    let structured = crate::SolverSet::default(); // Dlg defaults to Structured
+    let structured = crate::SolverSet {
+        dlg: Dlg::default(), // the structured Sherman–Morrison lane
+        ..crate::SolverSet::default()
+    };
     let dense = crate::SolverSet {
         dlg: Dlg::new().with_gls_path(GlsPath::DenseWhitened),
         ..crate::SolverSet::default()

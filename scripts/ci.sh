@@ -80,16 +80,6 @@ echo "$out" | grep -q "per lane" || { echo "smoke: no per-lane table"; exit 1; }
 echo "$out" | grep "failed" | grep -vq "failed    0" \
     && { echo "smoke: a lane failed on the clean stream"; exit 1; }
 
-echo "==> block-mode smoke (SoA block sweep, parity enforced per size)"
-for bs in 1 4 8; do
-    out=$(cargo run --release --offline -q -- throughput --jobs 1 --quick --block-size "$bs")
-    echo "$out" | head -n 3
-    echo "$out" | grep -q "block size $bs" \
-        || { echo "smoke: block size $bs not reported"; exit 1; }
-    echo "$out" | grep "failed" | grep -vq "failed    0" \
-        && { echo "smoke: a lane failed on the clean stream at block size $bs"; exit 1; }
-done
-
 echo "==> flight recorder smoke (record one epoch, decode the dump)"
 out=$(cargo run --release --offline -q -- throughput --jobs 1 --epochs 1 \
     --flight-recorder "$tmpdir/flight.bin" 2>&1)

@@ -37,7 +37,7 @@ USAGE:
   gps-repro solve <FILE> [--algorithm nr|dlo|dlg|bancroft] [--satellites M]
   gps-repro engine <FILE> [--satellites M] [--epochs N]
   gps-repro throughput [--jobs N] [--epochs N] [--satellites M] [--seed N]
-                       [--block-size N] [--station <SRZN|YYR1|FAI1|KYCP>] [--quick]
+                       [--station <SRZN|YYR1|FAI1|KYCP>] [--quick]
   gps-repro serve [--sessions N] [--rounds N] [--jobs N] [--deadline-us N]
                   [--queue-cap N] [--journal FILE] [--kill-after N]
                   [--truncate-tail BYTES] [--bench-out FILE] [--seed N] [--quick]
@@ -57,9 +57,6 @@ THROUGHPUT (parallel batch positioning):
                         back in deterministic epoch order
   --epochs N            stream length (default 2000; --quick: 240)
   --satellites M        satellites per epoch (default 8)
-  --block-size N        solve N same-shape epochs lock-step per lane via the
-                        SoA EpochBlock path (default 1 = per-epoch feeding;
-                        results are bit-identical at any block size)
 
 SERVE (fleet-scale positioning service):
   runs a supervised multi-receiver service round by round: per-receiver
@@ -400,7 +397,6 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     let m: usize = args.flag_parse("satellites", 8)?;
     let seed: u64 = args.flag_parse("seed", 2_010)?;
     let jobs: usize = args.flag_parse("jobs", gps_repro::pool::available_parallelism())?;
-    let block_size: usize = args.flag_parse("block-size", 1)?;
     let station = args.flag("station").unwrap_or("SRZN");
     if !["SRZN", "YYR1", "FAI1", "KYCP"].contains(&station) {
         return Err(format!("unknown station `{station}` (SRZN|YYR1|FAI1|KYCP)"));
@@ -408,39 +404,27 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     if epochs == 0 {
         return Err("--epochs must be at least 1".to_owned());
     }
-    if block_size == 0 {
-        return Err("--block-size must be at least 1".to_owned());
-    }
 
     println!(
         "throughput: {epochs} epochs × {m} satellites from {station} \
-         (seed {seed}, block size {block_size})"
+         (seed {seed})"
     );
     let stream = throughput_stream(station, epochs, m, seed);
 
     // Serial baseline: the batched Engine, timing disabled so both
     // paths run the identical per-epoch work and the wall clock is the
-    // only measurement. Block mode feeds the same engine through
-    // lock-step EpochBlocks instead of epoch-by-epoch.
+    // only measurement.
     let mut serial = Engine::all_solvers().with_timing(false);
     let serial_start = std::time::Instant::now();
-    if block_size > 1 {
-        serial.run_blocked(&stream, block_size);
-    } else {
-        for job in &stream {
-            serial.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
-        }
+    for job in &stream {
+        serial.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
     }
     let serial_elapsed = serial_start.elapsed();
 
     // Parallel run across the pool.
     let pool = ThreadPool::new(jobs);
     let engine = ParallelEngine::all_solvers();
-    let run = if block_size > 1 {
-        engine.run_blocked(&pool, std::sync::Arc::new(stream), block_size)
-    } else {
-        engine.run(&pool, stream)
-    };
+    let run = engine.run(&pool, stream);
 
     // Determinism spot check: the parallel merge must agree with the
     // serial engine on every lane's outcome tallies.
@@ -473,15 +457,13 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         run.total_fixes_per_sec(),
         run.workers.len()
     );
-    println!("per lane (fixes/s = solved epochs / batch wall-clock):");
+    println!("per lane (ns/fix = the lane's own parallel solve time / epochs):");
     for (lane, stats) in run.lane_names.iter().zip(&run.lane_stats) {
-        let serial_rate = stats.solved as f64 / serial_s.max(1e-12);
-        let parallel_rate = stats.solved as f64 / parallel_s.max(1e-12);
         println!(
-            "  {lane:<9} solved {:>6}  failed {:>4}  serial {serial_rate:>9.0}/s  parallel {parallel_rate:>9.0}/s  speedup {:>5.2}x",
+            "  {lane:<9} solved {:>6}  failed {:>4}  {:>9.1} ns/fix",
             stats.solved,
             stats.failed,
-            parallel_rate / serial_rate.max(1e-12),
+            stats.mean_time().as_secs_f64() * 1e9,
         );
     }
     println!("per worker:");
@@ -912,13 +894,10 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 struct BaselineCell {
     solver: String,
     /// `"parallel"` = `ParallelEngine` across a pool, `"serial"` = the
-    /// batched single-thread `Engine`. Baselines written before the SoA
-    /// lane omit the key; they read back as parallel.
+    /// batched single-thread `Engine`. A missing key reads back as
+    /// parallel.
     mode: String,
     jobs: usize,
-    /// Epochs per lock-step block (1 = per-epoch feeding). Missing key
-    /// reads back as 1.
-    block_size: usize,
     fixes_per_sec: f64,
 }
 
@@ -971,11 +950,6 @@ fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
                 .map_err(|_| format!("cannot parse \"{key}\" value `{lit}`"))
         };
         let jobs = num("jobs")? as usize;
-        let block_size = if field("block_size").is_some() {
-            (num("block_size")? as usize).max(1)
-        } else {
-            1
-        };
         let mode = field("mode")
             .and_then(|v| v.strip_prefix('"'))
             .and_then(|v| v.split('"').next())
@@ -984,7 +958,6 @@ fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
             solver: solver.to_owned(),
             mode: mode.to_owned(),
             jobs,
-            block_size,
             fixes_per_sec: num("fixes_per_sec")?,
         });
     }
@@ -1084,7 +1057,7 @@ fn cmd_benchdiff(args: &Args) -> Result<(), String> {
         };
         // One warm-up pass, then best-of-three: min is the least-noisy
         // estimator for a fixed workload on a shared machine. Serial
-        // cells re-measure the single-thread Engine (block feeding);
+        // cells re-measure the single-thread Engine epoch by epoch;
         // parallel cells re-measure the pool path.
         let mut best = f64::INFINITY;
         if cell.mode == "serial" {
@@ -1093,7 +1066,10 @@ fn cmd_benchdiff(args: &Args) -> Result<(), String> {
                 .with_timing(false);
             for i in 0..4 {
                 let start = std::time::Instant::now();
-                let fed = engine.run_blocked(&stream, cell.block_size);
+                let fed: usize = stream
+                    .iter()
+                    .map(|job| engine.run_epoch(&job.measurements, job.predicted_receiver_bias_m))
+                    .sum();
                 let elapsed = start.elapsed().as_secs_f64();
                 if fed != stream.len() {
                     return Err(format!(
@@ -1111,11 +1087,7 @@ fn cmd_benchdiff(args: &Args) -> Result<(), String> {
             let pool = ThreadPool::new(cell.jobs);
             for i in 0..4 {
                 let start = std::time::Instant::now();
-                let run = if cell.block_size > 1 {
-                    engine.run_blocked(&pool, Arc::clone(&stream), cell.block_size)
-                } else {
-                    engine.run_shared(&pool, Arc::clone(&stream))
-                };
+                let run = engine.run_shared(&pool, Arc::clone(&stream));
                 let elapsed = start.elapsed().as_secs_f64();
                 if run.outcomes.len() != stream.len() {
                     return Err(format!(
@@ -1140,11 +1112,10 @@ fn cmd_benchdiff(args: &Args) -> Result<(), String> {
             "ok"
         };
         println!(
-            "  {:<9} {:<8} jobs {:<2} bs {:<2} baseline {:>12.0}/s  measured {:>12.0}/s  ({:>+7.1}%)  {verdict}",
+            "  {:<9} {:<8} jobs {:<2} baseline {:>12.0}/s  measured {:>12.0}/s  ({:>+7.1}%)  {verdict}",
             cell.solver,
             cell.mode,
             cell.jobs,
-            cell.block_size,
             cell.fixes_per_sec,
             measured,
             100.0 * (measured / cell.fixes_per_sec.max(1e-12) - 1.0)

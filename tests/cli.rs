@@ -175,12 +175,13 @@ fn telemetry_out_captures_events_and_snapshot() {
             "snapshot missing histogram {metric}"
         );
     }
-    // The default DLG lane is the structured Sherman–Morrison path, which
-    // never assembles the dense Ψ — so its assembly timer must be absent
-    // (it records only on the dense GlsPath ablation lanes; TELEMETRY.md).
+    // Figure 5.1 runs the paper's DLG: the dense-Ψ GLS of eq. 4-21/4-26,
+    // whose covariance assembly timer records only on the dense GlsPath
+    // lanes (TELEMETRY.md) — so its presence shows the paper path ran.
     assert!(
-        !text.contains("core.dlg.cov_assembly_us"),
-        "structured DLG lane unexpectedly assembled a dense covariance"
+        text.lines()
+            .any(|l| l.contains("\"type\":\"histogram\"") && l.contains("core.dlg.cov_assembly_us")),
+        "fig51 did not run the paper's dense-covariance DLG"
     );
     assert!(
         text.lines()

@@ -140,20 +140,25 @@ fn execution_time_shape_matches_paper() {
         .epoch_count(cfg.epoch_count)
         .elevation_mask_deg(cfg.elevation_mask_deg)
         .generate(station);
-    // The structured GLS kernel narrowed the DLG-vs-DLO gap to where
-    // scheduler noise under a parallel test run can flip one sample's
-    // ordering; retry before judging (same policy as gps-sim's
-    // direct_methods_faster_than_nr).
-    let mut r = run_dataset(&data, 8, &cfg);
-    for _ in 0..2 {
-        if r.theta_dlo() < 60.0 && r.theta_dlg() < 90.0 && r.theta_dlg() > r.theta_dlo() {
-            break;
-        }
-        r = run_dataset(&data, 8, &cfg);
-    }
-    assert!(r.theta_dlo() < 60.0, "θ_DLO {}", r.theta_dlo());
-    assert!(r.theta_dlg() < 90.0, "θ_DLG {}", r.theta_dlg());
-    assert!(r.theta_dlg() > r.theta_dlo());
+    // Median θ over k = 5 independent runs: one run's θ is a ratio of
+    // two short wall-clock sums that scheduler noise can move. Bounds:
+    // θ_DLO < 60 % and θ_DLG < 90 % at m = 8 (EXPERIMENTS.md measures
+    // ≈ 13–20 % and ≈ 45–50 %), and the paper's dense-Ψ DLG above DLO.
+    let (mut dlo, mut dlg): (Vec<f64>, Vec<f64>) = (0..5)
+        .map(|_| {
+            let r = run_dataset(&data, 8, &cfg);
+            (r.theta_dlo(), r.theta_dlg())
+        })
+        .unzip();
+    dlo.sort_by(f64::total_cmp);
+    dlg.sort_by(f64::total_cmp);
+    let (theta_dlo, theta_dlg) = (dlo[2], dlg[2]);
+    assert!(theta_dlo < 60.0, "median θ_DLO {theta_dlo}");
+    assert!(theta_dlg < 90.0, "median θ_DLG {theta_dlg}");
+    assert!(
+        theta_dlg > theta_dlo,
+        "median θ_DLG {theta_dlg} vs θ_DLO {theta_dlo}"
+    );
 }
 
 /// Satellite subset selection: the geometry-aware subset never returns
