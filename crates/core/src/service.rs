@@ -7,8 +7,8 @@
 //! answers "keep answering, whatever happens":
 //!
 //! * **Sessions, sharded.** Each receiver id maps to one shard
-//!   (`receiver % shards`); a shard owns its sessions and its bounded
-//!   queue behind one mutex, so one pool job per shard per round
+//!   (`receiver % shards`); a shard owns its sessions and its queue
+//!   behind one mutex, so one pool job per shard per round
 //!   touches each lock once and receivers never contend across
 //!   shards. Sessions idle for `idle_eviction_rounds` are evicted.
 //! * **Deadlines.** Every queued epoch carries its enqueue timestamp;
@@ -17,11 +17,19 @@
 //!   [`Session::expire_deadline`] — holdover while the budget lasts,
 //!   a typed [`SolveError::DeadlineExceeded`] after — so a stalled
 //!   shard degrades per-receiver instead of blocking the round.
-//! * **Backpressure.** [`PositioningService::ingest`] refuses to grow
-//!   a shard queue past `queue_capacity`: the epoch belonging to the
+//! * **Backpressure.** Admission is a time budget, not a slot count.
+//!   Each shard job measures its service cost — drain wall time over
+//!   epochs solved, journal included (an expired epoch skips the solve,
+//!   so it is not counted; a drain that solves nothing resets the
+//!   shard to cold) — and
+//!   [`PositioningService::ingest`] admits while the queue holds fewer
+//!   than `max(queue_capacity, deadline ÷ cost)` epochs, so once a
+//!   shard is measured, a load it can serve within the deadline is not
+//!   shed. `queue_capacity` is the whole limit before a shard's first
+//!   drain and the floor after it. Past the limit the epoch belonging to the
 //!   session with the *lowest* [`Session::shed_priority`] (worst
 //!   Bayesian-DOP fix-quality score) is shed, counted in
-//!   `service.shed_total`.
+//!   `service.shed_total`; picking it is O(log n) in queue depth.
 //! * **Journal.** With a journal attached, every processed epoch
 //!   appends one `GPSJRNL1` record — inputs, disposition, outcome
 //!   bits, and the session digest after — so [`replay_journal`]
@@ -40,8 +48,8 @@
 //!
 //! [`ParallelEngine`]: crate::ParallelEngine
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
@@ -68,7 +76,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Session shards (defaults to `workers`).
     pub shards: usize,
-    /// Per-shard queue bound; ingest beyond it sheds.
+    /// Per-shard admission limit before the shard's service cost is
+    /// measured (its first drain), and the floor of the
+    /// `deadline ÷ cost` limit after; ingest beyond the limit sheds.
     pub queue_capacity: usize,
     /// Per-epoch latency budget from ingest to dequeue.
     pub deadline: Duration,
@@ -195,7 +205,126 @@ struct Queued {
 
 struct Shard {
     sessions: HashMap<u64, Session>,
-    queue: VecDeque<Queued>,
+    queue: ShardQueue,
+    /// Wall ns per epoch of the shard job's last drain, journal
+    /// included; `None` until the first drain.
+    ns_per_epoch: Option<u64>,
+}
+
+/// Epochs a shard admits: as many as its measured cost serves within
+/// the deadline, never fewer than `queue_capacity` — which is also the
+/// whole limit while the cost is unmeasured.
+fn admit_limit(config: &ServiceConfig, ns_per_epoch: Option<u64>) -> usize {
+    let by_time = ns_per_epoch.map_or(0, |cost| {
+        let deadline_ns = u64::try_from(config.deadline.as_nanos()).unwrap_or(u64::MAX);
+        usize::try_from(deadline_ns / cost.max(1)).unwrap_or(usize::MAX)
+    });
+    config.queue_capacity.max(by_time)
+}
+
+/// Maps a shed priority to bits that sort like [`f64::total_cmp`], so
+/// a `(key, ticket)` pair orders epochs lowest priority first, then
+/// earliest queued.
+fn priority_key(priority: f64) -> u64 {
+    let bits = priority.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// A shard's FIFO of queued epochs plus the min-heap that picks its
+/// shed victim.
+///
+/// Slot `i` holds ticket `head + i`; a shed epoch leaves a `None`
+/// tombstone, so removal is O(1) and tickets stay positions. The heap
+/// is built on the first shed after the shard job last dequeued and
+/// kept current by later pushes. That is sound because all queued
+/// epochs of a session share its priority and priorities change only
+/// when the shard job processes a session — which it does right after
+/// dequeuing, and dequeuing marks the heap stale. A shed therefore
+/// costs O(log n), plus one O(n) rebuild per drain.
+#[derive(Default)]
+struct ShardQueue {
+    slots: VecDeque<Option<Queued>>,
+    head: u64,
+    live: usize,
+    /// `(priority_key, ticket)` of every live epoch once current.
+    victims: BinaryHeap<Reverse<(u64, u64)>>,
+    victims_current: bool,
+}
+
+impl ShardQueue {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Queued> {
+        self.slots.iter().flatten()
+    }
+
+    fn push_back(&mut self, queued: Queued, priority: f64) {
+        let ticket = self.head + self.slots.len() as u64;
+        if self.victims_current {
+            self.victims.push(Reverse((priority_key(priority), ticket)));
+        }
+        self.slots.push_back(Some(queued));
+        self.live += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<Queued> {
+        self.victims_current = false;
+        while let Some(slot) = self.slots.pop_front() {
+            self.head += 1;
+            if slot.is_some() {
+                self.live -= 1;
+                return slot;
+            }
+        }
+        None
+    }
+
+    /// The [`priority_key`] of the queued epoch to shed first,
+    /// rebuilding the heap from `priority_of(receiver)` if the shard
+    /// job ran since the last shed.
+    fn lowest(&mut self, priority_of: impl Fn(u64) -> f64) -> Option<u64> {
+        if !self.victims_current {
+            let mut ranks = std::mem::take(&mut self.victims).into_vec();
+            ranks.clear();
+            ranks.extend(
+                self.slots
+                    .iter()
+                    .zip(self.head..)
+                    .filter_map(|(slot, ticket)| {
+                        slot.as_ref()
+                            .map(|q| Reverse((priority_key(priority_of(q.epoch.receiver)), ticket)))
+                    }),
+            );
+            self.victims = BinaryHeap::from(ranks);
+            self.victims_current = true;
+        }
+        self.victims.peek().map(|Reverse((key, _))| *key)
+    }
+
+    /// Removes the epoch [`ShardQueue::lowest`] returned.
+    fn remove_lowest(&mut self) -> Option<Queued> {
+        let Reverse((_, ticket)) = self.victims.pop()?;
+        let index = usize::try_from(ticket.checked_sub(self.head)?).ok()?;
+        let dropped = self.slots.get_mut(index)?.take()?;
+        self.live -= 1;
+        // Compact once tombstones outnumber live epochs: O(n) after at
+        // least n sheds. Tickets shift, so the heap goes stale.
+        if self.slots.len() > 2 * self.live + 1 {
+            self.slots.retain(Option::is_some);
+            self.victims_current = false;
+        }
+        Some(dropped)
+    }
 }
 
 struct ServiceMetrics {
@@ -207,6 +336,7 @@ struct ServiceMetrics {
     journal_records: Counter,
     journal_bytes: Gauge,
     batch_drains: Counter,
+    admit_limit: Gauge,
     latency_us: Histogram,
 }
 
@@ -221,6 +351,7 @@ impl ServiceMetrics {
             journal_records: gps_telemetry::counter("service.journal_records"),
             journal_bytes: gps_telemetry::gauge("service.journal_bytes"),
             batch_drains: gps_telemetry::counter("service.batch_drains"),
+            admit_limit: gps_telemetry::gauge("service.admit_limit"),
             latency_us: gps_telemetry::histogram("service.latency_us"),
         }
     }
@@ -261,7 +392,8 @@ impl PositioningService {
                 .map(|_| {
                     Arc::new(Mutex::new(Shard {
                         sessions: HashMap::new(),
-                        queue: VecDeque::new(),
+                        queue: ShardQueue::default(),
+                        ns_per_epoch: None,
                     }))
                 })
                 .collect(),
@@ -318,9 +450,9 @@ impl PositioningService {
     }
 
     /// Admits one epoch, creating the receiver's session on first
-    /// sight. On a full shard queue the epoch belonging to the
-    /// lowest-[`shed_priority`](Session::shed_priority) session is
-    /// shed — possibly the incoming one.
+    /// sight. Past the shard's [admission limit](self) the epoch
+    /// belonging to the lowest-[`shed_priority`](Session::shed_priority)
+    /// session is shed — possibly the incoming one.
     pub fn ingest(&self, epoch: SessionEpoch) -> IngestResult {
         self.metrics.ingested.inc();
         let shard_index = (epoch.receiver % self.shards.len() as u64) as usize;
@@ -332,53 +464,38 @@ impl PositioningService {
                 receiver: epoch.receiver,
             };
         };
-        let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-        shard
-            .sessions
-            .entry(epoch.receiver)
-            .or_insert_with(|| Session::new(epoch.receiver));
-        if shard.queue.len() < self.config.queue_capacity {
-            shard.queue.push_back(Queued {
-                epoch,
-                enqueued: Instant::now(),
-            });
-            return IngestResult::Queued;
-        }
-        // Backpressure: find the queued epoch with the lowest shed
-        // priority and compare it against the incoming one.
+        let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
+        let shard = &mut *guard;
         let incoming_priority = shard
             .sessions
-            .get(&epoch.receiver)
-            .map_or(0.0, Session::shed_priority);
-        let mut victim: Option<(usize, f64)> = None;
-        for (i, queued) in shard.queue.iter().enumerate() {
-            let priority = shard
-                .sessions
-                .get(&queued.epoch.receiver)
-                .map_or(0.0, Session::shed_priority);
-            if victim.is_none_or(|(_, best)| priority < best) {
-                victim = Some((i, priority));
+            .entry(epoch.receiver)
+            .or_insert_with(|| Session::new(epoch.receiver))
+            .shed_priority();
+        let queued = Queued {
+            epoch,
+            enqueued: Instant::now(),
+        };
+        if shard.queue.len() < admit_limit(&self.config, shard.ns_per_epoch) {
+            shard.queue.push_back(queued, incoming_priority);
+            return IngestResult::Queued;
+        }
+        // Backpressure: the lowest-priority queued epoch makes way if
+        // it ranks below the incoming one.
+        self.metrics.shed_total.inc();
+        let sessions = &shard.sessions;
+        let lowest = shard
+            .queue
+            .lowest(|receiver| sessions.get(&receiver).map_or(0.0, Session::shed_priority));
+        if lowest.is_some_and(|key| key < priority_key(incoming_priority)) {
+            if let Some(dropped) = shard.queue.remove_lowest() {
+                shard.queue.push_back(queued, incoming_priority);
+                return IngestResult::Shed {
+                    receiver: dropped.epoch.receiver,
+                };
             }
         }
-        self.metrics.shed_total.inc();
-        match victim {
-            Some((index, priority)) if priority < incoming_priority => {
-                let Some(dropped) = shard.queue.remove(index) else {
-                    return IngestResult::Shed {
-                        receiver: epoch.receiver,
-                    };
-                };
-                shard.queue.push_back(Queued {
-                    epoch,
-                    enqueued: Instant::now(),
-                });
-                IngestResult::Shed {
-                    receiver: dropped.epoch.receiver,
-                }
-            }
-            _ => IngestResult::Shed {
-                receiver: epoch.receiver,
-            },
+        IngestResult::Shed {
+            receiver: queued.epoch.receiver,
         }
     }
 
@@ -407,12 +524,12 @@ impl PositioningService {
             let chaos = self.chaos.lock().unwrap_or_else(|e| e.into_inner());
             let chaos_op = chaos.get(&(round, shard_index)).copied();
             drop(chaos);
-            let deadline = self.config.deadline;
+            let config = self.config;
             self.pool.submit(move || {
                 run_shard_round(
                     &shard,
                     round,
-                    deadline,
+                    &config,
                     chaos_op,
                     journal.as_deref(),
                     &metrics,
@@ -526,9 +643,13 @@ struct DrainedEpoch {
 }
 
 /// One shard's work for one round: drain the queue, route each epoch
-/// by deadline, journal, and report. Runs inside a pool job. With a
-/// shallow queue the lock is taken per epoch so `ingest` interleaves
-/// cleanly; once the queue is at least [`DRAIN_BATCH`] deep the
+/// by deadline, journal, and report, then record the round's wall time
+/// per solved epoch as the shard's service cost (a chaos stall counts:
+/// a stalled shard serves fewer epochs per deadline; a round that
+/// solved nothing resets the shard to its cold-start limit). Runs
+/// inside a pool job. With a shallow queue the lock is taken per epoch so
+/// `ingest` interleaves cleanly; once the queue is at least
+/// [`DRAIN_BATCH`] deep the
 /// round drains that many epochs per lock acquisition instead —
 /// latency is backlog-dominated at that point, so amortizing the lock
 /// (and feeding the solvers back-to-back epochs) is pure win. Epoch
@@ -537,12 +658,14 @@ struct DrainedEpoch {
 fn run_shard_round(
     shard: &Mutex<Shard>,
     round: u64,
-    deadline: Duration,
+    config: &ServiceConfig,
     chaos: Option<ChaosOp>,
     journal: Option<&Mutex<JournalWriter>>,
     metrics: &ServiceMetrics,
     tx: &mpsc::Sender<RoundMessage>,
 ) {
+    let started = Instant::now();
+    let deadline = config.deadline;
     match chaos {
         Some(ChaosOp::Stall(pause)) => std::thread::sleep(pause),
         Some(ChaosOp::Panic) => {
@@ -557,10 +680,22 @@ fn run_shard_round(
     // Reused batch scratch: epochs processed under one lock hold,
     // journaled and reported after it drops.
     let mut drained: Vec<DrainedEpoch> = Vec::with_capacity(DRAIN_BATCH);
+    let mut drained_total = 0u64;
+    let mut solved_total = 0u64;
     loop {
         let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
         let depth = guard.queue.len();
         if depth == 0 {
+            if drained_total > 0 {
+                // Per *solved* epoch: an expired epoch skips the solve,
+                // so counting it would make overload look cheap.
+                let cost = (solved_total > 0).then(|| {
+                    let ns = started.elapsed().as_nanos() / u128::from(solved_total);
+                    u64::try_from(ns).unwrap_or(u64::MAX).max(1)
+                });
+                guard.ns_per_epoch = cost;
+                metrics.admit_limit.set(admit_limit(config, cost) as f64);
+            }
             break;
         }
         // Deep queue → batch drain (see fn docs); shallow → one epoch
@@ -612,6 +747,11 @@ fn run_shard_round(
         }
         drop(guard);
 
+        drained_total += drained.len() as u64;
+        solved_total += drained
+            .iter()
+            .filter(|e| e.disposition == Disposition::Solved)
+            .count() as u64;
         for epoch in drained.drain(..) {
             if let Some(journal) = journal {
                 let record = JournalRecord {
@@ -796,16 +936,18 @@ impl ReplayReport {
 /// record through a fresh [`Session`] and verifying the recomputed
 /// outcome bits, clock prediction, and digest chain against what the
 /// live run journaled. Tolerates a torn tail (reported, not fatal).
+/// Records stream from the file one at a time, so memory holds the
+/// sessions, never the journal.
 ///
 /// # Errors
 ///
 /// Returns an error only for IO failures or a non-journal file.
 pub fn replay_journal(path: &Path) -> io::Result<ReplayReport> {
-    let reader = JournalReader::open(path)?;
+    let mut reader = JournalReader::open(path)?;
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut malformed = 0usize;
     let mut mismatches = 0usize;
-    for words in reader.records() {
+    while let Some(words) = reader.next_record()? {
         let Some(record) = JournalRecord::decode(words) else {
             malformed += 1;
             continue;
@@ -834,7 +976,7 @@ pub fn replay_journal(path: &Path) -> io::Result<ReplayReport> {
     let mut digests: Vec<(u64, u64)> = sessions.values().map(|s| (s.id(), s.digest())).collect();
     digests.sort_unstable();
     Ok(ReplayReport {
-        records: reader.records().len(),
+        records: usize::try_from(reader.records_read()).unwrap_or(usize::MAX),
         truncated: reader.truncated(),
         malformed,
         mismatches,
@@ -965,7 +1107,12 @@ mod tests {
         // Establish quality tiers: receiver 0 nominal, receiver 1
         // fresh (never fixed → priority 0).
         let _ = service.ingest(good_epoch(0, 0.0));
-        let _ = service.process_round();
+        let round = service.process_round();
+        assert!(round.outcomes.iter().all(|o| o.result.is_ok()));
+        // Real overload: a measured cost of one deadline per epoch
+        // puts the limit at its floor of 2.
+        service.shards[0].lock().expect("shard").ns_per_epoch =
+            Some(config.deadline.as_nanos() as u64);
 
         // Fill the queue: [fresh-1, nominal-0], then push another
         // nominal-0 epoch. The fresh receiver must be the victim.
@@ -978,6 +1125,247 @@ mod tests {
         // from a never-fixed receiver sheds itself.
         let shed = service.ingest(good_epoch(5, 0.0));
         assert_eq!(shed, IngestResult::Shed { receiver: 5 });
+    }
+
+    #[test]
+    fn warm_shards_admit_a_clean_burst_past_queue_capacity() {
+        // SLO: a load below measured capacity sheds nothing. One warm
+        // round measures each shard's cost (tens of µs per epoch); a
+        // 3 × queue_capacity burst per shard then fits the 5 s deadline
+        // by orders of magnitude.
+        let config = quick_config();
+        let mut service = PositioningService::new(config);
+        for receiver in 0..4u64 {
+            let _ = service.ingest(good_epoch(receiver, 0.0));
+        }
+        let _ = service.process_round();
+        let burst = 3 * config.queue_capacity * config.shards;
+        for receiver in 0..burst as u64 {
+            assert_eq!(
+                service.ingest(good_epoch(receiver, 0.0)),
+                IngestResult::Queued,
+                "receiver {receiver} shed"
+            );
+        }
+        let round = service.process_round();
+        assert_eq!(round.outcomes.len(), burst);
+        assert!(round
+            .outcomes
+            .iter()
+            .all(|o| o.disposition == Disposition::Solved && o.result.is_ok()));
+    }
+
+    #[test]
+    fn cpu_bound_overload_keeps_shedding_the_lowest_priority() {
+        // Real CPU-bound overload, no chaos: every round offers six
+        // times the shard's measured limit against a 5 ms deadline, and
+        // the epochs arrive half a deadline before the round runs, so
+        // the tail of a limit-deep queue expires. Four nominal
+        // receivers lead each round; the rest are degraded (one
+        // non-finite pseudorange, still a full solve). An expired epoch
+        // skips the solve; if it counted as served, the limit would
+        // climb towards the offered load round over round and shedding
+        // by quality would turn into first-come expiry.
+        let mut config = quick_config();
+        config.shards = 1;
+        config.deadline = Duration::from_millis(5);
+        let mut service = PositioningService::new(config);
+        let nominal = config.queue_capacity as u64 / 2;
+        let degraded = |receiver| {
+            let mut epoch = good_epoch(receiver, 0.0);
+            epoch.measurements[5].pseudorange = f64::NAN;
+            epoch
+        };
+        // Priorities change only inside the shard job, so between
+        // rounds every victim must rank at or below every epoch still
+        // queued.
+        let offer = |service: &PositioningService, count: u64| {
+            let mut victims = Vec::new();
+            for i in 0..count {
+                let epoch = if i < nominal {
+                    good_epoch(i, 0.0)
+                } else {
+                    degraded(1_000 + i % 256)
+                };
+                if let IngestResult::Shed { receiver } = service.ingest(epoch) {
+                    victims.push(receiver);
+                }
+            }
+            let shard = service.shards[0].lock().expect("shard");
+            let priority = |receiver| shard.sessions[&receiver].shed_priority();
+            let kept = shard
+                .queue
+                .iter()
+                .map(|q| priority(q.epoch.receiver))
+                .fold(f64::INFINITY, f64::min);
+            for &victim in &victims {
+                assert!(
+                    priority(victim) <= kept,
+                    "shed {victim} over a lower priority"
+                );
+            }
+            victims.len() as u64
+        };
+        // Warm rounds; the largest limit seen (cheapest round) sizes
+        // the load, so a slow warm round cannot make it light.
+        let mut warm_limit = 0;
+        for _ in 0..3 {
+            let _ = offer(&service, 256);
+            let _ = service.process_round();
+            let measured = service.shards[0].lock().expect("shard").ns_per_epoch;
+            warm_limit = warm_limit.max(admit_limit(&config, measured) as u64);
+        }
+        let offered = 6 * warm_limit;
+        for round in 0..10 {
+            let shed = offer(&service, offered);
+            std::thread::sleep(config.deadline / 2);
+            let report = service.process_round();
+            let expired = report
+                .outcomes
+                .iter()
+                .filter(|o| o.disposition == Disposition::DeadlineExpired)
+                .count() as u64;
+            assert!(
+                shed >= offered / 2,
+                "round {round}: shed {shed} of {offered} (warm limit {warm_limit})"
+            );
+            assert!(
+                expired <= offered / 3,
+                "round {round}: {expired} of {offered} expired (warm limit {warm_limit})"
+            );
+        }
+    }
+
+    #[test]
+    fn cold_shard_admits_exactly_queue_capacity() {
+        // Shard 0 is measured, shard 1 never drained: shard 1 keeps the
+        // slot limit exactly while shard 0 admits past it.
+        let config = quick_config();
+        let mut service = PositioningService::new(config);
+        let _ = service.ingest(good_epoch(0, 0.0));
+        let _ = service.process_round();
+        let cap = config.queue_capacity as u64;
+        for i in 0..cap {
+            assert_eq!(
+                service.ingest(good_epoch(2 * i + 1, 0.0)),
+                IngestResult::Queued
+            );
+        }
+        let next = 2 * cap + 1;
+        assert_eq!(
+            service.ingest(good_epoch(next, 0.0)),
+            IngestResult::Shed { receiver: next }
+        );
+        for i in 0..=cap {
+            assert_eq!(service.ingest(good_epoch(2 * i, 0.0)), IngestResult::Queued);
+        }
+    }
+
+    #[test]
+    fn deep_queue_sheds_in_priority_then_fifo_order() {
+        // A cold queue 512 deep of interleaved nominal (0..8) and
+        // fresh (100..108) receivers, then 1 200 more ingests. Every
+        // result must match a brute-force model: the earliest queued
+        // epoch of the lowest tier makes way for a higher-tier
+        // incoming epoch, otherwise the incoming epoch is shed.
+        let mut config = quick_config();
+        config.shards = 1;
+        config.queue_capacity = 512;
+        let mut service = PositioningService::new(config);
+        for receiver in 0..8u64 {
+            let _ = service.ingest(good_epoch(receiver, 0.0));
+        }
+        let _ = service.process_round();
+        // Cold again: the warm round measured the shard, so restore the
+        // slot limit for this test by forgetting the measurement.
+        service.shards[0].lock().expect("shard").ns_per_epoch = None;
+
+        let tier = |receiver: u64| u8::from(receiver < 100);
+        let mut model: Vec<u64> = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..1_712u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let receiver = if state.is_multiple_of(3) {
+                100 + state % 8
+            } else {
+                state % 8
+            };
+            let got = service.ingest(good_epoch(receiver, 0.0));
+            let want = if model.len() < 512 {
+                model.push(receiver);
+                IngestResult::Queued
+            } else {
+                let (index, &victim) = model
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(i, &r)| (tier(r), i))
+                    .expect("full model");
+                if tier(victim) < tier(receiver) {
+                    model.remove(index);
+                    model.push(receiver);
+                    IngestResult::Shed { receiver: victim }
+                } else {
+                    IngestResult::Shed { receiver }
+                }
+            };
+            assert_eq!(got, want, "ingest {i}");
+        }
+        let round = service.process_round();
+        assert_eq!(round.outcomes.len(), model.len());
+        let mut served: Vec<u64> = round.outcomes.iter().map(|o| o.receiver).collect();
+        model.sort_unstable();
+        served.sort_unstable();
+        assert_eq!(served, model);
+    }
+
+    #[test]
+    fn shard_queue_tombstones_and_compaction_keep_fifo_and_shed_order() {
+        // Priority = receiver id, so every displacement is strictly
+        // upward and tombstones pile up past the live count, forcing
+        // compactions; a brute-force model checks every victim and the
+        // final FIFO order.
+        let queued = |receiver: u64| Queued {
+            epoch: SessionEpoch {
+                receiver,
+                dt_s: 1.0,
+                measurements: Vec::new(),
+            },
+            enqueued: Instant::now(),
+        };
+        let mut queue = ShardQueue::default();
+        let mut model: Vec<u64> = Vec::new();
+        for r in [40, 10, 30, 20, 35, 15, 25, 5] {
+            queue.push_back(queued(r), r as f64);
+            model.push(r);
+        }
+        for incoming in 41..400u64 {
+            let lowest = queue.lowest(|r| r as f64).expect("non-empty");
+            let (index, &want) = model
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &r)| r)
+                .expect("model");
+            assert_eq!(lowest, priority_key(want as f64));
+            let dropped = queue.remove_lowest().expect("victim");
+            assert_eq!(dropped.epoch.receiver, want, "incoming {incoming}");
+            model.remove(index);
+            queue.push_back(queued(incoming), incoming as f64);
+            model.push(incoming);
+            if incoming % 97 == 0 {
+                // A drain in between marks the heap stale.
+                let front = queue.pop_front().expect("front");
+                assert_eq!(front.epoch.receiver, model.remove(0));
+            }
+            assert_eq!(queue.len(), model.len());
+            assert!(queue.slots.len() <= 2 * queue.len() + 1);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| queue.pop_front())
+            .map(|q| q.epoch.receiver)
+            .collect();
+        assert_eq!(order, model);
+        assert!(queue.is_empty());
     }
 
     #[test]

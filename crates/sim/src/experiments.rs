@@ -429,18 +429,38 @@ mod tests {
         cfg.calibration_epochs = 10;
         cfg.min_satellites = 4;
         cfg.max_satellites = 8;
-        let report = fig51(&cfg);
+        // One trial's θ is a ratio of two sub-millisecond wall-clock
+        // sums that scheduler noise under a parallel test run can push
+        // past 100 %, so the timing bound holds for the median of
+        // K = 5 trials per (station, m) point. Same seed: the trials
+        // differ only in timing.
+        const K: usize = 5;
+        let reports: Vec<FigureReport> = (0..K).map(|_| fig51(&cfg)).collect();
+        let report = &reports[0];
         assert_eq!(report.datasets.len(), 4);
-        for (label, series) in &report.datasets {
+        for (d, (label, series)) in report.datasets.iter().enumerate() {
             assert!(!series.is_empty(), "{label}: empty series");
-            for p in series {
-                assert!(p.dlo > 0.0 && p.dlg > 0.0);
-                assert!(p.dlo.is_finite() && p.dlg.is_finite());
+            for (i, p) in series.iter().enumerate() {
+                let trials: Vec<&SeriesPoint> =
+                    reports.iter().map(|r| &r.datasets[d].1[i]).collect();
+                for t in &trials {
+                    assert_eq!(t.m, p.m, "{label}: trials disagree on m");
+                    assert!(t.dlo > 0.0 && t.dlg > 0.0);
+                    assert!(t.dlo.is_finite() && t.dlg.is_finite());
+                }
+                let median = |theta: fn(&SeriesPoint) -> f64| {
+                    let mut v: Vec<f64> = trials.iter().map(|t| theta(t)).collect();
+                    v.sort_by(f64::total_cmp);
+                    v[K / 2]
+                };
+                let (dlo, dlg) = (median(|t| t.dlo), median(|t| t.dlg));
                 // Strict timing shape only holds in optimized builds; in
                 // debug the allocator and bounds checks distort ratios.
+                // Bound: median θ < 100 % (faster than NR), as in the
+                // paper's Fig. 5.1.
                 if !cfg!(debug_assertions) {
-                    assert!(p.dlo < 100.0, "{label} m={}: θ_DLO {}", p.m, p.dlo);
-                    assert!(p.dlg < 100.0, "{label} m={}: θ_DLG {}", p.m, p.dlg);
+                    assert!(dlo < 100.0, "{label} m={}: median θ_DLO {dlo}", p.m);
+                    assert!(dlg < 100.0, "{label} m={}: median θ_DLG {dlg}", p.m);
                 }
             }
         }

@@ -622,13 +622,26 @@ mod tests {
         cfg.sessions = 8;
         cfg.rounds = 16;
         cfg.service.queue_capacity = 4;
-        cfg.runtime_faults = Some(RuntimeFaultPlan::new(5).with(
-            gps_faults::RuntimeFault::BurstOverload {
-                start_frac: 0.25,
-                rounds: 6,
-                multiplier: 8,
-            },
-        ));
+        // Admission is sized by each shard's measured cost, so the
+        // burst alone fits. A 200 ms stall of one shard per round from
+        // the round before the burst (rounds 3–8) makes that shard's
+        // next-round limit max(4, 250 ms × n / 200 ms) for the n epochs
+        // it solved (the floor of 4 if it solved none) — 4 after the
+        // 2-epoch pre-burst round — while the burst brings it 16: real
+        // overload, so it must shed.
+        cfg.runtime_faults = Some(
+            RuntimeFaultPlan::new(5)
+                .with(gps_faults::RuntimeFault::StallInjection {
+                    start_frac: 3.0 / 16.0,
+                    rounds: 6,
+                    stall_ms: 200,
+                })
+                .with(gps_faults::RuntimeFault::BurstOverload {
+                    start_frac: 0.25,
+                    rounds: 6,
+                    multiplier: 8,
+                }),
+        );
         let report = run_service_campaign(&cfg).expect("campaign");
         assert!(report.shed > 0, "{report}");
         assert_eq!(report.missed_integrity, 0, "{report}");

@@ -20,12 +20,12 @@
 //!   the framed record immediately (so an OS-level crash loses at most
 //!   the page cache) and issues `sync_data` every `fsync_every`
 //!   records, amortizing durability cost across the batch.
-//! * **Torn writes cannot poison a replay.** [`JournalReader`] walks
-//!   the frames in one pass over a single read buffer (no per-record
-//!   copies) and stops cleanly at the first incomplete or
-//!   checksum-corrupt record — a process killed mid-`append` costs the
-//!   tail record, never a panic and never a misparse of the bytes that
-//!   follow.
+//! * **Torn writes cannot poison a replay.** [`JournalReader`] streams
+//!   the frames one at a time from a buffered file (one record in
+//!   memory, however long the journal) and stops cleanly at the first
+//!   incomplete or checksum-corrupt record — a process killed
+//!   mid-`append` costs the tail record, never a panic and never a
+//!   misparse of the bytes that follow.
 //! * **Self-verifying.** The sequence word must increase by exactly one
 //!   per record, so a seek into the middle of an unrelated file cannot
 //!   masquerade as a valid journal suffix.
@@ -38,15 +38,17 @@
 //! w.append(&[1, 2, 3]).unwrap();
 //! w.append(&[4]).unwrap();
 //! drop(w);
-//! let read = JournalReader::open(&path).unwrap();
-//! assert_eq!(read.records().len(), 2);
-//! assert_eq!(read.records()[1], vec![4]);
+//! let mut read = JournalReader::open(&path).unwrap();
+//! assert_eq!(read.next_record().unwrap(), Some(&[1, 2, 3][..]));
+//! assert_eq!(read.next_record().unwrap(), Some(&[4][..]));
+//! assert_eq!(read.next_record().unwrap(), None);
+//! assert_eq!(read.records_read(), 2);
 //! assert!(!read.truncated());
 //! std::fs::remove_file(&path).ok();
 //! ```
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic of a version-1 journal.
@@ -177,109 +179,93 @@ impl JournalWriter {
     }
 }
 
-/// A decoded journal: every complete record, plus whether the file
-/// ended in a torn (incomplete or corrupt) tail.
-#[derive(Debug, Clone)]
-pub struct JournalReader {
-    records: Vec<Vec<u64>>,
+/// Streams the records of a journal, one frame at a time, from any
+/// byte source — a buffered file in production, a slice in tests.
+///
+/// Only the record being decoded is held in memory, so replaying a
+/// journal costs one record's words however long the journal is.
+#[derive(Debug)]
+pub struct JournalReader<R = BufReader<File>> {
+    source: R,
+    expect_seq: u64,
     truncated: bool,
-    bytes_read: u64,
+    done: bool,
+    /// Raw bytes of the current frame's payload and checksum.
+    frame: Vec<u8>,
+    /// Decoded words of the current record.
+    payload: Vec<u64>,
 }
 
 impl JournalReader {
-    /// Reads and verifies a journal file in one pass.
+    /// Opens a journal file for streaming; see [`JournalReader::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for IO failures or a missing/forged magic
+    /// header; tail corruption is *not* an error.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        Self::new(BufReader::new(File::open(path)?))
+    }
+}
+
+impl<R: Read> JournalReader<R> {
+    /// Checks the magic header of `source` and positions the reader at
+    /// the first record.
     ///
     /// Decoding stops cleanly at the first incomplete frame, checksum
-    /// mismatch or out-of-order sequence number — everything before
+    /// mismatch or out-of-order sequence number — every record before
     /// that point is returned and [`JournalReader::truncated`] reports
     /// that a tail was dropped. A torn write therefore costs exactly
     /// the records it tore, never the journal.
     ///
     /// # Errors
     ///
-    /// Returns an error only for IO failures or a missing/forged magic
-    /// header; tail corruption is *not* an error.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// Like [`JournalReader::open`] over an in-memory image.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` when the magic header is absent.
-    // lint: wire_format
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        if bytes.get(..JOURNAL_MAGIC.len()) != Some(JOURNAL_MAGIC.as_slice()) {
+    /// Returns `InvalidData` when the magic header is absent, or the
+    /// underlying read error.
+    pub fn new(mut source: R) -> io::Result<Self> {
+        let mut magic = [0u8; JOURNAL_MAGIC.len()];
+        if read_full(&mut source, &mut magic)? != magic.len() || &magic != JOURNAL_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "not a GPSJRNL1 journal (bad magic)",
             ));
         }
-        let mut cursor = JOURNAL_MAGIC.len();
-        let word = |at: usize| -> Option<u64> {
-            let end = at.checked_add(8)?;
-            let chunk = bytes.get(at..end)?;
-            let mut le = [0u8; 8];
-            le.copy_from_slice(chunk);
-            Some(u64::from_le_bytes(le))
-        };
-        let mut records = Vec::new();
-        let mut truncated = false;
-        let mut expect_seq = 0u64;
-        while cursor < bytes.len() {
-            let frame = (|| {
-                let len = word(cursor)?;
-                if len > MAX_RECORD_WORDS {
-                    return None;
-                }
-                let seq = word(cursor.checked_add(8)?)?;
-                if seq != expect_seq {
-                    return None;
-                }
-                let words = len as usize;
-                let mut payload = Vec::with_capacity(words);
-                // Checked cursor walk: `at` steps one word at a time,
-                // so a hostile length can never wrap the arithmetic.
-                let mut at = cursor.checked_add(16)?;
-                for _ in 0..words {
-                    payload.push(word(at)?);
-                    at = at.checked_add(8)?;
-                }
-                let checksum = word(at)?;
-                if checksum != frame_checksum(len, seq, &payload) {
-                    return None;
-                }
-                let advance = at.checked_add(8)?.checked_sub(cursor)?;
-                Some((payload, advance))
-            })();
-            match frame {
-                Some((payload, advance)) => {
-                    records.push(payload);
-                    cursor += advance;
-                    expect_seq += 1;
-                }
-                None => {
-                    // Torn or corrupt tail: stop at the last complete
-                    // record rather than guessing at resynchronization.
-                    truncated = true;
-                    break;
-                }
-            }
-        }
         Ok(JournalReader {
-            records,
-            truncated,
-            bytes_read: cursor as u64,
+            source,
+            expect_seq: 0,
+            truncated: false,
+            done: false,
+            frame: Vec::new(),
+            payload: Vec::new(),
         })
     }
 
-    /// The complete records, in append order.
+    /// The next complete record, or `None` at the end of the journal
+    /// or at a torn tail (which also sets
+    /// [`JournalReader::truncated`]). The slice is valid until the
+    /// next call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates read errors other than a short read; a short read
+    /// is a torn tail.
+    pub fn next_record(&mut self) -> io::Result<Option<&[u64]>> {
+        if self.done {
+            return Ok(None);
+        }
+        if self.read_frame()? {
+            self.expect_seq += 1;
+            Ok(Some(&self.payload))
+        } else {
+            self.done = true;
+            Ok(None)
+        }
+    }
+
+    /// Complete records returned so far.
     #[must_use]
-    pub fn records(&self) -> &[Vec<u64>] {
-        &self.records
+    pub fn records_read(&self) -> u64 {
+        self.expect_seq
     }
 
     /// Whether a torn/corrupt tail was dropped during decoding.
@@ -288,11 +274,67 @@ impl JournalReader {
         self.truncated
     }
 
-    /// Bytes consumed before decoding stopped (header included).
-    #[must_use]
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
+    /// Decodes one frame into `payload`. `Ok(false)` ends the stream:
+    /// at a clean frame boundary, or at a torn or corrupt frame (then
+    /// `truncated` is set rather than guessing at resynchronization).
+    // lint: wire_format
+    fn read_frame(&mut self) -> io::Result<bool> {
+        let mut header = [0u8; 16];
+        let got = read_full(&mut self.source, &mut header)?;
+        if got == 0 {
+            return Ok(false); // clean end on a frame boundary
+        }
+        let (len_bytes, seq_bytes) = header.split_at(8);
+        let len = le_word(len_bytes);
+        let seq = le_word(seq_bytes);
+        // The payload plus the trailing checksum word, in bytes; a
+        // hostile length is bounded before any arithmetic on it.
+        let frame_bytes =
+            (got == header.len() && len <= MAX_RECORD_WORDS && seq == self.expect_seq)
+                .then(|| len.checked_add(1)?.checked_mul(8))
+                .flatten();
+        let Some(frame_bytes) = frame_bytes else {
+            self.truncated = true;
+            return Ok(false);
+        };
+        self.frame.clear();
+        (&mut self.source)
+            .take(frame_bytes)
+            .read_to_end(&mut self.frame)?;
+        self.payload.clear();
+        self.payload.extend(self.frame.chunks_exact(8).map(le_word));
+        let checksum = self.payload.pop();
+        let intact = u64::try_from(self.frame.len()).is_ok_and(|n| n == frame_bytes)
+            && checksum == Some(frame_checksum(len, seq, &self.payload));
+        if !intact {
+            self.truncated = true;
+        }
+        Ok(intact)
     }
+}
+
+/// Reads until `buf` is full or the source ends; returns the bytes
+/// read (short only at end of input).
+fn read_full(source: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        let Some(rest) = buf.get_mut(filled..) else {
+            break;
+        };
+        match source.read(rest) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// One little-endian word from an 8-byte chunk (0 for any other size,
+/// which callers never pass).
+fn le_word(bytes: &[u8]) -> u64 {
+    <[u8; 8]>::try_from(bytes).map_or(0, u64::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -301,6 +343,20 @@ mod tests {
 
     fn temp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("gps_journal_{name}_{}.bin", std::process::id()))
+    }
+
+    /// Every record of a journal image, and whether its tail was torn.
+    fn decode(bytes: &[u8]) -> io::Result<(Vec<Vec<u64>>, bool)> {
+        read_all(JournalReader::new(bytes)?)
+    }
+
+    fn read_all<R: Read>(mut reader: JournalReader<R>) -> io::Result<(Vec<Vec<u64>>, bool)> {
+        let mut records = Vec::new();
+        while let Some(words) = reader.next_record()? {
+            records.push(words.to_vec());
+        }
+        assert_eq!(reader.records_read(), records.len() as u64);
+        Ok((records, reader.truncated()))
     }
 
     fn write_sample(path: &Path, records: usize) -> u64 {
@@ -317,10 +373,11 @@ mod tests {
     fn round_trips_records_in_order() {
         let path = temp("roundtrip");
         write_sample(&path, 17);
-        let r = JournalReader::open(&path).expect("open");
-        assert_eq!(r.records().len(), 17);
-        assert!(!r.truncated());
-        for (i, rec) in r.records().iter().enumerate() {
+        let (records, truncated) =
+            read_all(JournalReader::open(&path).expect("open")).expect("read");
+        assert_eq!(records.len(), 17);
+        assert!(!truncated);
+        for (i, rec) in records.iter().enumerate() {
             let i = i as u64;
             assert_eq!(rec, &vec![i, i * 10, i * 100]);
         }
@@ -331,16 +388,17 @@ mod tests {
     fn empty_journal_is_valid() {
         let path = temp("empty");
         drop(JournalWriter::create(&path, 1).expect("create"));
-        let r = JournalReader::open(&path).expect("open");
-        assert!(r.records().is_empty());
-        assert!(!r.truncated());
+        let (records, truncated) =
+            read_all(JournalReader::open(&path).expect("open")).expect("read");
+        assert!(records.is_empty());
+        assert!(!truncated);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn bad_magic_is_an_error() {
-        assert!(JournalReader::from_bytes(b"NOTAJRNL....").is_err());
-        assert!(JournalReader::from_bytes(b"").is_err());
+        assert!(JournalReader::new(&b"NOTAJRNL...."[..]).is_err());
+        assert!(JournalReader::new(&b""[..]).is_err());
     }
 
     #[test]
@@ -352,23 +410,23 @@ mod tests {
         let total = write_sample(&path, 6);
         let full = std::fs::read(&path).expect("read");
         assert_eq!(full.len() as u64, total);
-        let intact = JournalReader::from_bytes(&full).expect("full decode");
-        assert_eq!(intact.records().len(), 6);
+        let (intact, _) = decode(&full).expect("full decode");
+        assert_eq!(intact.len(), 6);
         for cut in 0..full.len() {
-            let Ok(r) = JournalReader::from_bytes(&full[..cut]) else {
+            let Ok((records, truncated)) = decode(&full[..cut]) else {
                 // Only header-less prefixes may error.
                 assert!(cut < JOURNAL_MAGIC.len(), "cut {cut} errored past magic");
                 continue;
             };
-            assert!(r.records().len() <= 6);
-            for (i, rec) in r.records().iter().enumerate() {
-                assert_eq!(rec, &intact.records()[i], "cut {cut} record {i}");
+            assert!(records.len() <= 6);
+            for (i, rec) in records.iter().enumerate() {
+                assert_eq!(rec, &intact[i], "cut {cut} record {i}");
             }
             // A cut exactly on a frame boundary yields a valid shorter
             // journal; anywhere else the torn tail must be reported.
             let frame_boundary = cut >= 8 && (cut - 8) % 48 == 0;
-            if r.records().len() < 6 && !frame_boundary {
-                assert!(r.truncated(), "cut {cut}: dropped tail not reported");
+            if records.len() < 6 && !frame_boundary {
+                assert!(truncated, "cut {cut}: dropped tail not reported");
             }
         }
         std::fs::remove_file(&path).ok();
@@ -383,9 +441,9 @@ mod tests {
         // full 48-byte frames + frame header 16 + 3 bytes in).
         let offset = 8 + 2 * 48 + 16 + 3;
         bytes[offset] ^= 0xff;
-        let r = JournalReader::from_bytes(&bytes).expect("decode");
-        assert_eq!(r.records().len(), 2, "records before the corruption");
-        assert!(r.truncated());
+        let (records, truncated) = decode(&bytes).expect("decode");
+        assert_eq!(records.len(), 2, "records before the corruption");
+        assert!(truncated);
         std::fs::remove_file(&path).ok();
     }
 
@@ -399,9 +457,9 @@ mod tests {
         let frame0 = bytes[8..56].to_vec();
         let mut spliced = bytes[..56].to_vec();
         spliced.extend_from_slice(&frame0);
-        let r = JournalReader::from_bytes(&spliced).expect("decode");
-        assert_eq!(r.records().len(), 1);
-        assert!(r.truncated());
+        let (records, truncated) = decode(&spliced).expect("decode");
+        assert_eq!(records.len(), 1);
+        assert!(truncated);
         std::fs::remove_file(&path).ok();
     }
 

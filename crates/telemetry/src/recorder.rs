@@ -489,9 +489,19 @@ impl FlightRecorder {
             .clone()
     }
 
-    /// Captures every ring and writes the binary dump to `path`.
+    /// Captures every ring and writes the binary dump to `path`. The
+    /// bytes go to a per-thread sibling file that is then renamed over
+    /// `path`, so a reader — or a second worker panicking at the same
+    /// moment — never sees a half-written dump.
     pub fn dump_to(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.capture().to_bytes())
+        let mut staging = path.as_os_str().to_owned();
+        staging.push(format!(".{:?}.tmp", std::thread::current().id()));
+        let written = std::fs::write(&staging, self.capture().to_bytes())
+            .and_then(|()| std::fs::rename(&staging, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&staging);
+        }
+        written
     }
 
     /// Captures and writes to the configured dump path, if one is set.

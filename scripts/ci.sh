@@ -148,6 +148,19 @@ cargo run --release --offline -q -- replay "$tmpdir/fleet.jrnl" \
     --verify-digest "$digest" \
     || { echo "smoke: journal replay lost digest parity"; exit 1; }
 
+echo "==> admission smoke (never shed a servable load: 2048 sessions, 250 ms deadline)"
+# 2048 receivers over 4 shards is 512 epochs a shard a round. Round 1 runs
+# before any shard has measured its cost, so admission is the cold-start
+# slot limit (64 a shard): it sheds 4 x (512 - 64) = 1792 epochs. From
+# round 2 on the time budget admits everything; the per-round work is
+# over 10x below the deadline.
+out=$(cargo run --release --offline -q -- serve --sessions 2048 --rounds 20)
+echo "$out"
+shed=$(echo "$out" | sed -n 's/.*; shed \([0-9]*\),.*/\1/p' | head -n 1)
+[ -n "$shed" ] || { echo "smoke: serve printed no shed count"; exit 1; }
+[ "$shed" -le 1792 ] \
+    || { echo "smoke: shed $shed epochs of a servable load (cold start alone sheds 1792)"; exit 1; }
+
 echo "==> torn-journal smoke (kill mid-run + torn tail must replay clean)"
 cargo run --release --offline -q -- serve --quick --seed 7 --kill-after 7 \
     --truncate-tail 41 --journal "$tmpdir/torn.jrnl" >/dev/null

@@ -60,13 +60,15 @@ THROUGHPUT (parallel batch positioning):
 
 SERVE (fleet-scale positioning service):
   runs a supervised multi-receiver service round by round: per-receiver
-  sessions with warm clock state, deadline budgets, bounded shard queues
-  with quality-ordered shedding, and an optional crash-safe journal
+  sessions with warm clock state, deadline budgets, per-shard admission
+  sized by deadline / measured cost per epoch with quality-ordered
+  shedding past it, and an optional crash-safe journal
   --sessions N          receivers in the fleet (default 16; --quick 8)
   --rounds N            ingest rounds (default 48; --quick 16)
   --jobs N              pool workers (default 4)
   --deadline-us N       per-epoch deadline budget, µs (default 250000)
-  --queue-cap N         per-shard queue capacity (default 64)
+  --queue-cap N         per-shard admission limit before the shard's cost
+                        is measured, and its floor after (default 64)
   --journal FILE        append every served epoch to a GPSJRNL1 journal
   --kill-after N        stop serving after round N (simulated crash; the
                         journal keeps whatever was durable at that point)
