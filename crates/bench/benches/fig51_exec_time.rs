@@ -7,20 +7,42 @@
 //! `θ = τ_O/τ_NR × 100 %` (eq. 5-3); the full four-dataset series is
 //! printed by `cargo run --release --example reproduce_paper -- fig51`.
 //!
-//! Each algorithm is measured three ways: through the simple allocating
+//! Each algorithm is measured through the simple allocating
 //! [`PositionSolver`] path (the `<ALGO>/{m}` ids, unchanged from before
-//! the `Solver` refactor), through the zero-allocation
-//! [`gps_core::Solver`] + [`SolveContext`] path pinned to the **heap**
-//! buffers (`<ALGO>-ctx/{m}`, preserving the meaning of the pre-stack
-//! numbers), and through the same path on the default const-generic
-//! **stack** kernel lane (`<ALGO>-stk/{m}`). `ctx` minus the simple path
-//! is the context refactor's per-epoch saving; `stk` minus `ctx` is the
-//! stack-kernel lane's.
+//! the `Solver` refactor) and through the zero-allocation
+//! [`gps_core::Solver`] + [`SolveContext`] path (`<ALGO>-ctx/{m}`); the
+//! difference is the context's per-epoch saving. NR keeps two lanes, so
+//! its context path is measured twice: pinned to the **heap** buffers
+//! (`NR-ctx/{m}`) and on the default const-generic **stack** kernel lane
+//! (`NR-stk/{m}`). DLO, DLG and Bancroft run one code path at every m,
+//! so they have a single context id.
 
 use gps_bench::fixture_epochs;
-use gps_bench::harness::{Harness, Throughput};
-use gps_core::{Bancroft, Dlg, Dlo, Engine, Epoch, NewtonRaphson, PositionSolver, SolveContext};
+use gps_bench::harness::{BenchmarkGroup, Harness, Throughput};
+use gps_core::{
+    Bancroft, Dlg, Dlo, Engine, Epoch, Measurement, NewtonRaphson, PositionSolver, SolveContext,
+    Solver,
+};
 use std::hint::black_box;
+
+/// Times `solver` through the [`Solver`] path on one warm context.
+fn bench_context_path(
+    group: &mut BenchmarkGroup,
+    id: &str,
+    solver: &dyn Solver,
+    epochs: &[Vec<Measurement>],
+    bias: f64,
+    mut ctx: SolveContext,
+) {
+    group.bench_with_input(id, epochs, |b, epochs| {
+        b.iter(|| {
+            for meas in epochs {
+                let epoch = Epoch::new(black_box(meas), bias);
+                let _ = black_box(solver.solve(&epoch, &mut ctx));
+            }
+        })
+    });
+}
 
 fn bench_solvers(h: &mut Harness) {
     let mut group = h.benchmark_group("fig51_exec_time");
@@ -35,29 +57,26 @@ fn bench_solvers(h: &mut Harness) {
         group.bench_with_input(&format!("NR/{m}"), &epochs, |b, epochs| {
             b.iter(|| {
                 for meas in epochs {
-                    let _ = black_box(nr.solve(black_box(meas), 0.0));
+                    let _ = black_box(PositionSolver::solve(&nr, black_box(meas), 0.0));
                 }
             })
         });
-        group.bench_with_input(&format!("NR-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 0.0);
-                    let _ = black_box(gps_core::Solver::solve(&nr, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("NR-stk/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new();
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 0.0);
-                    let _ = black_box(gps_core::Solver::solve(&nr, &epoch, &mut ctx));
-                }
-            })
-        });
+        bench_context_path(
+            &mut group,
+            &format!("NR-ctx/{m}"),
+            &nr,
+            &epochs,
+            0.0,
+            SolveContext::new().with_stack_kernels(false),
+        );
+        bench_context_path(
+            &mut group,
+            &format!("NR-stk/{m}"),
+            &nr,
+            &epochs,
+            0.0,
+            SolveContext::new(),
+        );
 
         // Warm-started NR (previous epoch's fix as the initial guess):
         // quantifies how much of NR's cost is the paper's cold start.
@@ -65,7 +84,7 @@ fn bench_solvers(h: &mut Harness) {
             b.iter(|| {
                 let mut warm = NewtonRaphson::default();
                 for meas in epochs {
-                    if let Ok(fix) = black_box(warm.solve(black_box(meas), 0.0)) {
+                    if let Ok(fix) = black_box(PositionSolver::solve(&warm, black_box(meas), 0.0)) {
                         warm = NewtonRaphson::default()
                             .with_initial(fix.position, fix.receiver_bias_m.unwrap_or(0.0));
                     }
@@ -77,85 +96,52 @@ fn bench_solvers(h: &mut Harness) {
         group.bench_with_input(&format!("DLO/{m}"), &epochs, |b, epochs| {
             b.iter(|| {
                 for meas in epochs {
-                    let _ = black_box(dlo.solve(black_box(meas), 12.0));
+                    let _ = black_box(PositionSolver::solve(&dlo, black_box(meas), 12.0));
                 }
             })
         });
-        group.bench_with_input(&format!("DLO-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 12.0);
-                    let _ = black_box(gps_core::Solver::solve(&dlo, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("DLO-stk/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new();
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 12.0);
-                    let _ = black_box(gps_core::Solver::solve(&dlo, &epoch, &mut ctx));
-                }
-            })
-        });
+        bench_context_path(
+            &mut group,
+            &format!("DLO-ctx/{m}"),
+            &dlo,
+            &epochs,
+            12.0,
+            SolveContext::new(),
+        );
 
         let dlg = Dlg::default();
         group.bench_with_input(&format!("DLG/{m}"), &epochs, |b, epochs| {
             b.iter(|| {
                 for meas in epochs {
-                    let _ = black_box(dlg.solve(black_box(meas), 12.0));
+                    let _ = black_box(PositionSolver::solve(&dlg, black_box(meas), 12.0));
                 }
             })
         });
-        group.bench_with_input(&format!("DLG-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 12.0);
-                    let _ = black_box(gps_core::Solver::solve(&dlg, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("DLG-stk/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new();
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 12.0);
-                    let _ = black_box(gps_core::Solver::solve(&dlg, &epoch, &mut ctx));
-                }
-            })
-        });
+        bench_context_path(
+            &mut group,
+            &format!("DLG-ctx/{m}"),
+            &dlg,
+            &epochs,
+            12.0,
+            SolveContext::new(),
+        );
 
         let bancroft = Bancroft;
         group.bench_with_input(&format!("Bancroft/{m}"), &epochs, |b, epochs| {
             b.iter(|| {
                 for meas in epochs {
-                    let _ = black_box(bancroft.solve(black_box(meas), 0.0));
+                    let _ = black_box(PositionSolver::solve(&bancroft, black_box(meas), 0.0));
                 }
             })
         });
-        group.bench_with_input(&format!("Bancroft-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 0.0);
-                    let _ = black_box(gps_core::Solver::solve(&bancroft, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("Bancroft-stk/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new();
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 0.0);
-                    let _ = black_box(gps_core::Solver::solve(&bancroft, &epoch, &mut ctx));
-                }
-            })
-        });
+        bench_context_path(
+            &mut group,
+            &format!("Bancroft-ctx/{m}"),
+            &bancroft,
+            &epochs,
+            0.0,
+            SolveContext::new(),
+        );
 
         // All four lanes through the batched Engine (per-lane warm
         // contexts, per-lane timing folded into the engine's own stats).

@@ -110,8 +110,8 @@ fn dlg_is_allocation_free_when_warm() {
     assert_zero_alloc_after_warmup(&Dlg::default(), 12.0);
 }
 
-/// Heap-lane probe at m > 16: epochs this large bypass the stack
-/// kernels, so the warm loop exercises the solver's heap path
+/// Probe at m > 16: epochs this large bypass the stack kernels of the
+/// two-lane solvers, so the warm loop exercises their heap path
 /// specifically. (The explicit-inverse DLG lane is excluded: it is the
 /// deliberately allocating faithful-to-the-text ablation reference.)
 fn assert_zero_alloc_large_m(solver: &dyn Solver, label: &str) {
@@ -140,9 +140,8 @@ fn assert_zero_alloc_large_m(solver: &dyn Solver, label: &str) {
 
 #[test]
 fn dlg_structured_gls_large_m_is_allocation_free_when_warm() {
-    // The heap Sherman–Morrison path: covariance_rank1_into filling the
-    // reused cov_diag buffer plus gls_rank1_into with the caller's
-    // scratch. Varying m exercises the diag/scratch resize-reuse.
+    // The one-pass Sherman–Morrison path at the multi-GNSS shapes;
+    // varying m checks that nothing is sized per epoch.
     assert_zero_alloc_large_m(&Dlg::default(), "structured-GLS DLG");
 }
 
@@ -159,6 +158,47 @@ fn dlg_dense_whitened_large_m_is_allocation_free_when_warm() {
 #[test]
 fn bancroft_is_allocation_free_when_warm() {
     assert_zero_alloc_after_warmup(&Bancroft, 0.0);
+}
+
+/// The one-pass solvers (DLO, structured DLG, Bancroft) keep nothing in
+/// the context, so even the first solve on a fresh one must not
+/// allocate — at m = 8 and at the m = 40 multi-GNSS shape alike.
+fn assert_zero_alloc_cold(solver: &dyn Solver, bias: f64) {
+    for (m, epochs) in [
+        (8, fixture_epochs(8, 97)),
+        (40, fixture_epochs_multi(40, 97)),
+    ] {
+        let meas = epochs.first().expect("fixture produced no epoch");
+        // The process-wide metric handles register on a solver's first
+        // call ever; take that once on a throwaway context.
+        let _ = solver.solve(&Epoch::new(meas, bias), &mut SolveContext::new());
+        let allocs = allocations_during(|| {
+            let mut ctx = SolveContext::new();
+            let result = solver.solve(&Epoch::new(meas, bias), &mut ctx);
+            assert!(result.is_ok(), "{} failed on clean epoch", solver.name());
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{} allocated {allocs} time(s) on a fresh context at m = {m}",
+            solver.name()
+        );
+    }
+}
+
+#[test]
+fn dlo_is_allocation_free_from_the_first_call() {
+    assert_zero_alloc_cold(&Dlo::default(), 12.0);
+}
+
+#[test]
+fn dlg_structured_is_allocation_free_from_the_first_call() {
+    assert_zero_alloc_cold(&Dlg::default(), 12.0);
+}
+
+#[test]
+fn bancroft_is_allocation_free_from_the_first_call() {
+    assert_zero_alloc_cold(&Bancroft, 0.0);
 }
 
 #[test]

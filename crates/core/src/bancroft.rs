@@ -1,10 +1,8 @@
 use gps_geodesy::Ecef;
-use gps_linalg::lstsq;
-use gps_linalg::stack::{self, SMat, SVec};
-use gps_linalg::STACK_M_CAP;
+use gps_linalg::stack::{self, SMat};
 
 use crate::measurement::validate;
-use crate::{Measurement, Solution, SolveError};
+use crate::{Solution, SolveError};
 
 /// Bancroft's algebraic closed-form GPS solution (the paper's related work
 /// \[2\]: S. Bancroft, "An algebraic solution of the GPS equations", 1986).
@@ -50,8 +48,8 @@ use crate::{Measurement, Solution, SolveError};
 pub struct Bancroft;
 
 /// Lorentz (Minkowski) inner product on 4-vectors.
-fn lorentz(u: &[f64; 4], v: &[f64; 4]) -> f64 {
-    u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]
+fn lorentz([u0, u1, u2, u3]: [f64; 4], [v0, v1, v2, v3]: [f64; 4]) -> f64 {
+    u0 * v0 + u1 * v1 + u2 * v2 - u3 * v3
 }
 
 impl Bancroft {
@@ -60,168 +58,76 @@ impl Bancroft {
     pub fn new() -> Self {
         Bancroft
     }
-
-    /// Post-fit residual RMS for a candidate `(position, bias)`.
-    fn residual_rms(measurements: &[Measurement], pos: Ecef, bias: f64) -> f64 {
-        let sum: f64 = measurements
-            .iter()
-            .map(|m| {
-                let r = m.pseudorange - (pos.distance_to(m.position) + bias);
-                r * r
-            })
-            .sum();
-        (sum / measurements.len() as f64).sqrt()
-    }
-
-    /// Stack-kernel fast lane: the same closed-form solution with `B`, `r`
-    /// and `e` in stack storage and the two pseudo-inverse applications
-    /// solved by `stack::ols4`. Bit-identical to the heap lane.
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let measurements = epoch.measurements;
-        validate(measurements, 4)?;
-        let m = measurements.len();
-
-        // B has rows (sᵢ, ρᵢ); r_i = ½⟨aᵢ,aᵢ⟩.
-        let mut b = SMat::<STACK_M_CAP, 4>::zeroed(m);
-        let mut r = SVec::<STACK_M_CAP>::zeroed(m);
-        for (i, meas) in measurements.iter().enumerate() {
-            let row = b.row_mut(i);
-            row[0] = meas.position.x;
-            row[1] = meas.position.y;
-            row[2] = meas.position.z;
-            row[3] = meas.pseudorange;
-            r.as_mut_slice()[i] =
-                0.5 * (meas.position.norm_squared() - meas.pseudorange * meas.pseudorange);
-        }
-
-        // B⁺ applied to e and to r via least squares (exact inverse when
-        // m = 4).
-        let mut ones = SVec::<STACK_M_CAP>::zeroed(m);
-        ones.as_mut_slice().fill(1.0);
-        let bplus_e = stack::ols4(&b, &ones)?;
-        let bplus_r = stack::ols4(&b, &r)?;
-
-        // u = M B⁺ e, v = M B⁺ r (M = diag(1,1,1,−1)).
-        let u = [bplus_e[0], bplus_e[1], bplus_e[2], -bplus_e[3]];
-        let v = [bplus_r[0], bplus_r[1], bplus_r[2], -bplus_r[3]];
-
-        // Quadratic ⟨u,u⟩Λ² + 2(⟨u,v⟩ − 1)Λ + ⟨v,v⟩ = 0.
-        let qa = lorentz(&u, &u);
-        let qb = 2.0 * (lorentz(&u, &v) - 1.0);
-        let qc = lorentz(&v, &v);
-
-        // At most two candidate roots; kept on the stack.
-        let mut lambdas = [0.0_f64; 2];
-        let nroots = if qa.abs() < 1e-18 {
-            if qb.abs() < 1e-30 {
-                return Err(SolveError::NoRealRoot);
-            }
-            lambdas[0] = -qc / qb;
-            1
-        } else {
-            let disc = qb * qb - 4.0 * qa * qc;
-            if disc < 0.0 {
-                return Err(SolveError::NoRealRoot);
-            }
-            let sq = disc.sqrt();
-            // Numerically stable pair of roots.
-            let q = -0.5 * (qb + sq.copysign(qb));
-            lambdas[0] = q / qa;
-            if q.abs() > 0.0 {
-                lambdas[1] = qc / q;
-                2
-            } else {
-                1
-            }
-        };
-
-        // Evaluate each root; keep the candidate with the smallest post-fit
-        // residual (the spurious root places the receiver far from the
-        // measurements' consistent geometry).
-        let mut best: Option<(Ecef, f64, f64)> = None;
-        for &lambda in &lambdas[..nroots] {
-            let y = [
-                lambda * u[0] + v[0],
-                lambda * u[1] + v[1],
-                lambda * u[2] + v[2],
-                lambda * u[3] + v[3],
-            ];
-            let pos = Ecef::new(y[0], y[1], y[2]);
-            let bias = y[3];
-            if !pos.is_finite() || !bias.is_finite() {
-                continue;
-            }
-            let rms = Bancroft::residual_rms(measurements, pos, bias);
-            if best.as_ref().is_none_or(|(_, _, best_rms)| rms < *best_rms) {
-                best = Some((pos, bias, rms));
-            }
-        }
-        match best {
-            Some((pos, bias, rms)) => Ok(Solution::new(pos, Some(bias), 1, rms)),
-            None => Err(SolveError::NoRealRoot),
-        }
-    }
 }
 
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
 // this module (and in `use super::*` tests) still resolves through
 // `PositionSolver` unambiguously.
 impl crate::Solver for Bancroft {
+    /// One pass over the measurements accumulates `BᵀB`, `Bᵀe` and `Bᵀr`;
+    /// the 4×4 Gram is factored once and both right-hand sides are
+    /// substituted through it (`B⁺e`, `B⁺r`, the exact inverse at
+    /// m = 4); a second pass scores both quadratic roots. One code path
+    /// for every satellite count; the context goes unused.
     // lint: no_alloc
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
-        ctx: &mut crate::SolveContext,
+        _ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        if crate::solver::stack_lane(ctx, epoch.len()) {
-            return self.solve_stack(epoch);
-        }
         let measurements = epoch.measurements;
         validate(measurements, 4)?;
-        let m = measurements.len();
 
-        // B has rows (sᵢ, ρᵢ); r_i = ½⟨aᵢ,aᵢ⟩.
-        let b = &mut ctx.geometry;
-        let r = &mut ctx.rhs;
-        b.resize_zeroed(m, 4);
-        r.resize_zeroed(m);
-        for (i, meas) in measurements.iter().enumerate() {
-            let row = b.row_mut(i);
-            row[0] = meas.position.x;
-            row[1] = meas.position.y;
-            row[2] = meas.position.z;
-            row[3] = meas.pseudorange;
-            r[i] = 0.5 * (meas.position.norm_squared() - meas.pseudorange * meas.pseudorange);
+        // B has rows aᵢ = (sᵢ, ρᵢ); rᵢ = ½⟨aᵢ,aᵢ⟩. Each accumulator sums in
+        // row order, as `lstsq::ols_into` would for each right-hand side
+        // (`aᵢ·1` is exactly `aᵢ`).
+        let mut gram = SMat::<4, 4>::zeroed(4);
+        let mut bplus_e = [0.0f64; 4];
+        let mut bplus_r = [0.0f64; 4];
+        let mut r_finite = true;
+        for meas in measurements {
+            let p = meas.position;
+            let row = [p.x, p.y, p.z, meas.pseudorange];
+            let r = 0.5 * (p.norm_squared() - meas.pseudorange * meas.pseudorange);
+            r_finite &= r.is_finite();
+            let sums = bplus_e.iter_mut().zip(bplus_r.iter_mut());
+            for (i, (&ai, (e, rr))) in row.iter().zip(sums).enumerate() {
+                *e += ai;
+                *rr += ai * r;
+                // Lower triangle of BᵀB is all the factorization reads.
+                for (gij, &aj) in gram.row_mut(i).iter_mut().take(i + 1).zip(&row) {
+                    *gij += ai * aj;
+                }
+            }
+        }
+        // B⁺ applied to e, then to r: the factorization is shared, and a
+        // non-finite r fails only once B⁺e has gone through.
+        stack::cholesky_factor(&mut gram)?;
+        if !r_finite {
+            return Err(SolveError::NonFinite);
+        }
+        for rhs in [&mut bplus_e, &mut bplus_r] {
+            stack::cholesky_forward(&gram, rhs);
+            stack::cholesky_back(&gram, rhs);
         }
 
-        // B⁺ applied to e and to r via least squares (exact inverse when
-        // m = 4).
-        let ones = &mut ctx.rhs_aux;
-        ones.resize_zeroed(m);
-        ones.as_mut_slice().fill(1.0);
-        lstsq::ols_into(b, ones, &mut ctx.lstsq, &mut ctx.step)?;
-        lstsq::ols_into(b, r, &mut ctx.lstsq, &mut ctx.step_aux)?;
-        let bplus_e = &ctx.step;
-        let bplus_r = &ctx.step_aux;
-
         // u = M B⁺ e, v = M B⁺ r (M = diag(1,1,1,−1)).
-        let u = [bplus_e[0], bplus_e[1], bplus_e[2], -bplus_e[3]];
-        let v = [bplus_r[0], bplus_r[1], bplus_r[2], -bplus_r[3]];
+        let [e0, e1, e2, e3] = bplus_e;
+        let [r0, r1, r2, r3] = bplus_r;
+        let u = [e0, e1, e2, -e3];
+        let v = [r0, r1, r2, -r3];
 
         // Quadratic ⟨u,u⟩Λ² + 2(⟨u,v⟩ − 1)Λ + ⟨v,v⟩ = 0.
-        let qa = lorentz(&u, &u);
-        let qb = 2.0 * (lorentz(&u, &v) - 1.0);
-        let qc = lorentz(&v, &v);
+        let qa = lorentz(u, u);
+        let qb = 2.0 * (lorentz(u, v) - 1.0);
+        let qc = lorentz(v, v);
 
         // At most two candidate roots; kept on the stack.
-        let mut lambdas = [0.0_f64; 2];
-        let nroots = if qa.abs() < 1e-18 {
+        let (lambdas, nroots) = if qa.abs() < 1e-18 {
             if qb.abs() < 1e-30 {
                 return Err(SolveError::NoRealRoot);
             }
-            lambdas[0] = -qc / qb;
-            1
+            ([-qc / qb, 0.0], 1)
         } else {
             let disc = qb * qb - 4.0 * qa * qc;
             if disc < 0.0 {
@@ -230,32 +136,36 @@ impl crate::Solver for Bancroft {
             let sq = disc.sqrt();
             // Numerically stable pair of roots.
             let q = -0.5 * (qb + sq.copysign(qb));
-            lambdas[0] = q / qa;
             if q.abs() > 0.0 {
-                lambdas[1] = qc / q;
-                2
+                ([q / qa, qc / q], 2)
             } else {
-                1
+                ([q / qa, 0.0], 1)
             }
         };
 
-        // Evaluate each root; keep the candidate with the smallest post-fit
-        // residual (the spurious root places the receiver far from the
-        // measurements' consistent geometry).
+        // y = Λu + v for each root, scored in one residual pass; keep the
+        // candidate with the smallest post-fit residual RMS (the spurious
+        // root places the receiver far from the measurements' consistent
+        // geometry).
+        let ([u0, u1, u2, u3], [v0, v1, v2, v3]) = (u, v);
+        let candidates = lambdas.map(|lambda| {
+            let position = Ecef::new(lambda * u0 + v0, lambda * u1 + v1, lambda * u2 + v2);
+            (position, lambda * u3 + v3)
+        });
+        let mut sums = [0.0f64; 2];
+        for meas in measurements {
+            for ((pos, bias), sum) in candidates.iter().zip(sums.iter_mut()) {
+                let r = meas.pseudorange - (pos.distance_to(meas.position) + bias);
+                *sum += r * r;
+            }
+        }
+        let m = measurements.len() as f64;
         let mut best: Option<(Ecef, f64, f64)> = None;
-        for &lambda in &lambdas[..nroots] {
-            let y = [
-                lambda * u[0] + v[0],
-                lambda * u[1] + v[1],
-                lambda * u[2] + v[2],
-                lambda * u[3] + v[3],
-            ];
-            let pos = Ecef::new(y[0], y[1], y[2]);
-            let bias = y[3];
+        for (&(pos, bias), sum) in candidates.iter().zip(sums).take(nroots) {
             if !pos.is_finite() || !bias.is_finite() {
                 continue;
             }
-            let rms = Bancroft::residual_rms(measurements, pos, bias);
+            let rms = (sum / m).sqrt();
             if best.as_ref().is_none_or(|(_, _, best_rms)| rms < *best_rms) {
                 best = Some((pos, bias, rms));
             }
@@ -286,7 +196,7 @@ impl crate::Solver for Bancroft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PositionSolver;
+    use crate::{Measurement, PositionSolver};
 
     fn sats() -> Vec<Ecef> {
         vec![

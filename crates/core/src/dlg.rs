@@ -1,12 +1,11 @@
 use gps_geodesy::Ecef;
 use gps_linalg::lstsq::{self, GlsStrategy};
-use gps_linalg::stack::{self, SMat};
+use gps_linalg::stack::{self, Normal3, Rank1Normal3, SMat};
 use gps_linalg::{Matrix, STACK_M_CAP};
 
-use crate::dlo::LinearSystem;
+use crate::dlo::{Differencing, LinearSystem};
 use crate::instrument;
 use crate::{BaseSelection, Solution, SolveError};
-use gps_telemetry::{Event, Level};
 
 /// Which covariance structure DLG feeds to the general least-squares
 /// estimator — the subject of the `ablation_gls_cov` benchmark.
@@ -170,89 +169,42 @@ impl Dlg {
     #[must_use]
     pub fn covariance_matrix(&self, sys: &LinearSystem) -> Matrix {
         let mut out = Matrix::default();
-        self.covariance_into(
-            &sys.corrected_ranges,
-            &sys.elevations,
-            sys.base_index,
-            &mut out,
-        );
+        self.covariance_matrix_into(sys, &mut out);
         out
     }
 
     /// [`Dlg::covariance_matrix`] with a caller-provided buffer: fills
     /// `out` in place without intermediate allocations (the
-    /// [`crate::SolveContext`] hot path; also the zero-allocation arm of
-    /// the linalg-path ablation bench).
+    /// zero-allocation arm of the linalg-path ablation bench).
     // lint: no_alloc
     pub fn covariance_matrix_into(&self, sys: &LinearSystem, out: &mut Matrix) {
         self.covariance_into(&sys.corrected_ranges, &sys.elevations, sys.base_index, out);
     }
 
     /// Core of [`Dlg::covariance_matrix_into`], operating on the raw
-    /// linearization buffers. Row/column `r` corresponds to input
-    /// measurement `r` when `r < base_index`, else `r + 1` (the base row
-    /// is differenced away).
+    /// linearization buffers: row `r` comes from input measurement `r`
+    /// when `r < base_index`, else `r + 1` (the base row is differenced
+    /// away).
     // lint: no_alloc
-    pub(crate) fn covariance_into(
+    fn covariance_into(
         &self,
         corrected_ranges: &[f64],
         elevations: &[Option<f64>],
         base_index: usize,
         out: &mut Matrix,
     ) {
-        let m = corrected_ranges.len();
-        let rho1 = corrected_ranges[base_index];
-        let rho1_sq = rho1 * rho1;
-        // Scale Ψ by the squared mean range: GLS is scale-invariant, and
-        // normalizing keeps the Cholesky well inside f64 range (raw
-        // entries would be ~10¹⁴).
-        let scale = 1.0 / rho1_sq.max(1.0);
-        let rho1_scaled = rho1_sq * scale;
-        // Diagonal term for differenced row r, from the original input.
-        let other = |r: usize| {
-            let j = if r < base_index { r } else { r + 1 };
-            corrected_ranges[j] * corrected_ranges[j] * scale
-        };
-        out.resize_zeroed(m - 1, m - 1);
-        match self.covariance {
-            CovarianceModel::Full => {
-                for r in 0..m - 1 {
-                    let diag = rho1_scaled + other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row.iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { rho1_scaled };
-                    }
-                }
-            }
-            CovarianceModel::DiagonalOnly => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = rho1_scaled + other(r);
-                }
-            }
-            CovarianceModel::Identity => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = 1.0;
-                }
-            }
-            CovarianceModel::ElevationScaled => {
-                // Per-satellite variance weight from the elevation budget
-                // (same 1/sin(el) shape as the receiver-noise model).
-                let weight = |el: Option<f64>| {
-                    el.map_or(1.0, |e: f64| {
-                        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
-                        1.0 / clamped.sin()
-                    })
-                };
-                let w1 = weight(elevations[base_index]);
-                for r in 0..m - 1 {
-                    let j = if r < base_index { r } else { r + 1 };
-                    let diag = w1 * rho1_scaled + weight(elevations[j]) * other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row.iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { w1 * rho1_scaled };
-                    }
-                }
-            }
+        let psi = Psi::new(
+            self.covariance,
+            corrected_ranges[base_index],
+            elevations[base_index],
+        );
+        let m1 = corrected_ranges.len() - 1;
+        out.resize_zeroed(m1, m1);
+        for (r, d) in psi
+            .diagonal(corrected_ranges, elevations, base_index)
+            .enumerate()
+        {
+            psi.fill_row(r, d, out.row_mut(r).iter_mut());
         }
     }
 
@@ -267,297 +219,218 @@ impl Dlg {
     /// GLS-path ablation and for tests.
     #[must_use]
     pub fn covariance_rank1(&self, sys: &LinearSystem) -> (f64, Vec<f64>) {
-        let mut diag = vec![0.0; sys.corrected_ranges.len() - 1];
-        let rank1 = self.covariance_rank1_into(
-            &sys.corrected_ranges,
-            &sys.elevations,
-            sys.base_index,
-            &mut diag,
+        let psi = Psi::new(
+            self.covariance,
+            sys.corrected_ranges[sys.base_index],
+            sys.elevations[sys.base_index],
         );
-        (rank1, diag)
+        // The base is filtered out, so the iterator cannot size the Vec.
+        let mut diag = Vec::with_capacity(sys.corrected_ranges.len() - 1);
+        diag.extend(psi.diagonal(&sys.corrected_ranges, &sys.elevations, sys.base_index));
+        (psi.rank1, diag)
     }
 
-    /// Core of [`Dlg::covariance_rank1`], operating on the raw
-    /// linearization buffers: fills `diag` (length `m − 1`, row order as
-    /// in [`Dlg::covariance_into`]) and returns the rank-one weight.
-    /// Shared verbatim by the heap and stack lanes, so the two compute
-    /// bit-identical decompositions.
+    /// The structured GLS normal equations `AᵀΨ⁻¹A x = AᵀΨ⁻¹Dᵉ`: one pass
+    /// forms each differenced row with its Ψ diagonal entry and feeds the
+    /// Sherman–Morrison accumulator; neither `A`, `Dᵉ` nor Ψ is stored.
+    /// Errors follow the heap kernel's precedence: non-finite system,
+    /// then non-finite ρ₁², then Ψ not positive definite.
     // lint: no_alloc
-    pub(crate) fn covariance_rank1_into(
+    fn structured_normal(&self, sys: &Differencing<'_>) -> Result<Normal3, SolveError> {
+        let psi = Psi::new(self.covariance, sys.base_range, sys.base_elevation);
+        let mut acc = Rank1Normal3::default();
+        let mut finite = true;
+        for row in sys.rows() {
+            finite &= row.is_finite();
+            acc.add_row(row.a, row.d, psi.diag(row.range, row.elevation));
+        }
+        if !finite {
+            return Err(SolveError::NonFinite);
+        }
+        Ok(acc.finish(psi.rank1)?)
+    }
+
+    /// The dense-Ψ ablation paths: the system and Ψ are materialized
+    /// (stack storage under the m-cap, the context's heap buffers above
+    /// it or for [`GlsPath::DenseExplicit`]) and solved by whitening or
+    /// by the explicit inverse.
+    // lint: no_alloc
+    fn solve_dense(
         &self,
-        corrected_ranges: &[f64],
-        elevations: &[Option<f64>],
-        base_index: usize,
-        diag: &mut [f64],
-    ) -> f64 {
-        let m = corrected_ranges.len();
-        debug_assert_eq!(
-            diag.len(),
-            m - 1,
-            "diag must hold one entry per differenced row"
-        );
-        let rho1 = corrected_ranges[base_index];
+        sys: &Differencing<'_>,
+        ctx: &mut crate::SolveContext,
+        detail: bool,
+    ) -> Result<[f64; 3], SolveError> {
+        // Covariance-assembly time costs more to observe than the fill.
+        let timer = || detail.then(std::time::Instant::now);
+        let record = |start: Option<std::time::Instant>| {
+            if let Some(start) = start {
+                instrument::dlg_cov_assembly().record(start.elapsed().as_secs_f64() * 1e6);
+            }
+        };
+        let psi = Psi::new(self.covariance, sys.base_range, sys.base_elevation);
+        let m1 = sys.len();
+        if crate::solver::stack_lane(ctx, m1 + 1) && self.gls == GlsPath::DenseWhitened {
+            let (a, d) = sys.gather_stack();
+            let start = timer();
+            let mut cov = SMat::<STACK_M_CAP, STACK_M_CAP>::zeroed(m1);
+            for (r, row) in sys.rows().enumerate() {
+                let entries = cov.row_mut(r).iter_mut().take(m1);
+                psi.fill_row(r, psi.diag(row.range, row.elevation), entries);
+            }
+            record(start);
+            return Ok(stack::gls3(&a, &d, &mut cov)?);
+        }
+        sys.gather(&mut ctx.geometry, &mut ctx.rhs);
+        let start = timer();
+        ctx.covariance.resize_zeroed(m1, m1);
+        for (r, row) in sys.rows().enumerate() {
+            let entries = ctx.covariance.row_mut(r).iter_mut();
+            psi.fill_row(r, psi.diag(row.range, row.elevation), entries);
+        }
+        record(start);
+        let strategy = if self.gls == GlsPath::DenseWhitened {
+            GlsStrategy::Whitened
+        } else {
+            GlsStrategy::ExplicitInverse
+        };
+        lstsq::gls_into(
+            &ctx.geometry,
+            &ctx.rhs,
+            &ctx.covariance,
+            strategy,
+            &mut ctx.lstsq,
+            &mut ctx.step,
+        )?;
+        Ok([ctx.step[0], ctx.step[1], ctx.step[2]])
+    }
+}
+
+/// Ψ's per-epoch constants under one [`CovarianceModel`], in the
+/// structured form `Ψ = rank1·𝟙𝟙ᵀ + diag(d)` that every model fits.
+#[derive(Debug, Clone, Copy)]
+struct Psi {
+    model: CovarianceModel,
+    /// The rank-one weight (`0` for the diagonal-only models).
+    rank1: f64,
+    /// `ρ₁²` after scaling.
+    rho1_scaled: f64,
+    /// `1 / max(ρ₁², 1)`.
+    scale: f64,
+}
+
+impl Psi {
+    /// `rho1` is the base satellite's corrected range, `base_elevation`
+    /// its elevation annotation.
+    fn new(model: CovarianceModel, rho1: f64, base_elevation: Option<f64>) -> Self {
         let rho1_sq = rho1 * rho1;
-        // Scale Ψ by the squared mean range: GLS is scale-invariant, and
+        // Scale Ψ by the squared base range: GLS is scale-invariant, and
         // normalizing keeps the arithmetic well inside f64 range (raw
         // entries would be ~10¹⁴).
         let scale = 1.0 / rho1_sq.max(1.0);
         let rho1_scaled = rho1_sq * scale;
-        // Diagonal term for differenced row r, from the original input.
-        let other = |r: usize| {
-            let j = if r < base_index { r } else { r + 1 };
-            corrected_ranges[j] * corrected_ranges[j] * scale
+        let rank1 = match model {
+            CovarianceModel::Full => rho1_scaled,
+            CovarianceModel::DiagonalOnly | CovarianceModel::Identity => 0.0,
+            CovarianceModel::ElevationScaled => elevation_weight(base_elevation) * rho1_scaled,
         };
-        match self.covariance {
-            CovarianceModel::Full => {
-                for (r, d) in diag.iter_mut().enumerate() {
-                    *d = other(r);
-                }
-                rho1_scaled
-            }
-            CovarianceModel::DiagonalOnly => {
-                for (r, d) in diag.iter_mut().enumerate() {
-                    *d = rho1_scaled + other(r);
-                }
-                0.0
-            }
-            CovarianceModel::Identity => {
-                diag.fill(1.0);
-                0.0
-            }
-            CovarianceModel::ElevationScaled => {
-                // Per-satellite variance weight from the elevation budget
-                // (same 1/sin(el) shape as the receiver-noise model).
-                let weight = |el: Option<f64>| {
-                    el.map_or(1.0, |e: f64| {
-                        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
-                        1.0 / clamped.sin()
-                    })
-                };
-                let w1 = weight(elevations[base_index]);
-                for (r, d) in diag.iter_mut().enumerate() {
-                    let j = if r < base_index { r } else { r + 1 };
-                    *d = weight(elevations[j]) * other(r);
-                }
-                w1 * rho1_scaled
-            }
+        Psi {
+            model,
+            rank1,
+            rho1_scaled,
+            scale,
         }
     }
 
-    /// Stack mirror of [`Dlg::covariance_into`]: same entry formulas and
-    /// fill order on an [`SMat`] with `m − 1` active rows.
-    // lint: no_alloc
-    fn covariance_stack(
-        &self,
-        corrected_ranges: &[f64],
-        elevations: &[Option<f64>],
+    /// The diagonal entry `dᵣ` of the differenced row of a satellite
+    /// with corrected range `range` and elevation `elevation`.
+    fn diag(&self, range: f64, elevation: Option<f64>) -> f64 {
+        let other = range * range * self.scale;
+        match self.model {
+            CovarianceModel::Full => other,
+            CovarianceModel::DiagonalOnly => self.rho1_scaled + other,
+            CovarianceModel::Identity => 1.0,
+            CovarianceModel::ElevationScaled => elevation_weight(elevation) * other,
+        }
+    }
+
+    /// Writes row `r` of the dense Ψ: `rank1 + d` on the diagonal,
+    /// `rank1` everywhere else.
+    fn fill_row<'r>(&self, r: usize, d: f64, row: impl Iterator<Item = &'r mut f64>) {
+        for (c, entry) in row.enumerate() {
+            *entry = if r == c { self.rank1 + d } else { self.rank1 };
+        }
+    }
+
+    /// Every diagonal entry, in differenced-row order, from the raw
+    /// linearization buffers.
+    fn diagonal<'s>(
+        &'s self,
+        corrected_ranges: &'s [f64],
+        elevations: &'s [Option<f64>],
         base_index: usize,
-    ) -> SMat<STACK_M_CAP, STACK_M_CAP> {
-        let m = corrected_ranges.len();
-        let rho1 = corrected_ranges[base_index];
-        let rho1_sq = rho1 * rho1;
-        // Scale Ψ by the squared mean range: GLS is scale-invariant, and
-        // normalizing keeps the Cholesky well inside f64 range (raw
-        // entries would be ~10¹⁴).
-        let scale = 1.0 / rho1_sq.max(1.0);
-        let rho1_scaled = rho1_sq * scale;
-        // Diagonal term for differenced row r, from the original input.
-        let other = |r: usize| {
-            let j = if r < base_index { r } else { r + 1 };
-            corrected_ranges[j] * corrected_ranges[j] * scale
-        };
-        let mut out = SMat::zeroed(m - 1);
-        match self.covariance {
-            CovarianceModel::Full => {
-                for r in 0..m - 1 {
-                    let diag = rho1_scaled + other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row[..m - 1].iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { rho1_scaled };
-                    }
-                }
-            }
-            CovarianceModel::DiagonalOnly => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = rho1_scaled + other(r);
-                }
-            }
-            CovarianceModel::Identity => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = 1.0;
-                }
-            }
-            CovarianceModel::ElevationScaled => {
-                // Per-satellite variance weight from the elevation budget
-                // (same 1/sin(el) shape as the receiver-noise model).
-                let weight = |el: Option<f64>| {
-                    el.map_or(1.0, |e: f64| {
-                        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
-                        1.0 / clamped.sin()
-                    })
-                };
-                let w1 = weight(elevations[base_index]);
-                for r in 0..m - 1 {
-                    let j = if r < base_index { r } else { r + 1 };
-                    let diag = w1 * rho1_scaled + weight(elevations[j]) * other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row[..m - 1].iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { w1 * rho1_scaled };
-                    }
-                }
-            }
-        }
-        out
+    ) -> impl Iterator<Item = f64> + 's {
+        corrected_ranges
+            .iter()
+            .zip(elevations)
+            .enumerate()
+            .filter(move |&(j, _)| j != base_index)
+            .map(|(_, (&range, &elevation))| self.diag(range, elevation))
     }
+}
 
-    /// Stack-kernel fast lane: linearize, decompose (or build) Ψ, and
-    /// solve with every intermediate on the stack. Bit-identical to the
-    /// heap lane. [`GlsPath::DenseExplicit`] never routes here (it is an
-    /// allocating ablation reference; the dispatch in [`crate::Solver`]
-    /// keeps it on the heap lane).
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let m = epoch.len();
-        let sys = crate::dlo::linearize_stack(
-            epoch.measurements,
-            epoch.predicted_receiver_bias_m,
-            self.base,
-        )?;
-        let step = match self.gls {
-            GlsPath::Structured => {
-                let mut diag = [0.0f64; STACK_M_CAP];
-                let rank1 = self.covariance_rank1_into(
-                    &sys.corrected[..m],
-                    &sys.elevations[..m],
-                    sys.base_index,
-                    &mut diag[..m - 1],
-                );
-                stack::gls3_rank1(&sys.a, &sys.d, rank1, &diag[..m - 1])?
-            }
-            GlsPath::DenseWhitened | GlsPath::DenseExplicit => {
-                let mut cov = self.covariance_stack(
-                    &sys.corrected[..m],
-                    &sys.elevations[..m],
-                    sys.base_index,
-                );
-                stack::gls3(&sys.a, &sys.d, &mut cov)?
-            }
-        };
-        let position = Ecef::new(step[0], step[1], step[2]);
-        let rms = crate::dlo::residual_rms_scaled_stack(
-            &sys.a,
-            &sys.d,
-            &sys.corrected[..m],
-            sys.base_index,
-            position,
-        );
-        instrument::dlg_solves().inc();
-        Ok(Solution::new(position, None, 1, rms))
-    }
+/// Per-satellite variance weight from the elevation budget (the same
+/// `1/sin(el)` shape as the receiver-noise model); unannotated
+/// satellites weigh 1.
+fn elevation_weight(elevation: Option<f64>) -> f64 {
+    elevation.map_or(1.0, |e| {
+        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
+        1.0 / clamped.sin()
+    })
 }
 
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
 // this module (and in `use super::*` tests) still resolves through
 // `PositionSolver` unambiguously.
 impl crate::Solver for Dlg {
+    /// [`GlsPath::Structured`] is one pass over the differenced rows into
+    /// the Sherman–Morrison normal equations and one residual pass — a
+    /// single code path for every satellite count that never touches the
+    /// context. The dense paths keep their stack and heap lanes.
     // lint: no_alloc
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
         ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        // DenseExplicit is the allocating faithful-to-the-text ablation
-        // reference; it has no stack mirror and always runs the heap lane.
-        if crate::solver::stack_lane(ctx, epoch.len()) && self.gls != GlsPath::DenseExplicit {
-            return self.solve_stack(epoch);
-        }
-        let base_index = crate::dlo::linearize_into(
+        let sys = Differencing::new(
             epoch.measurements,
             epoch.predicted_receiver_bias_m,
             self.base,
-            &mut ctx.geometry,
-            &mut ctx.rhs,
-            &mut ctx.corrected_ranges,
-            &mut ctx.elevations,
         )?;
-        // Covariance-assembly time and the design-matrix condition number
-        // both cost more to observe than DLG costs to run; gate them.
         let detail = gps_telemetry::detail();
-        match self.gls {
-            GlsPath::Structured => {
-                // The structured lane never assembles Ψ: the O(m²) fill
-                // (and the core.dlg.cov_assembly_us metric that timed it)
-                // is dense-lane-only now.
-                let m = ctx.corrected_ranges.len();
-                ctx.cov_diag.clear();
-                ctx.cov_diag.resize(m - 1, 0.0);
-                let rank1 = self.covariance_rank1_into(
-                    &ctx.corrected_ranges,
-                    &ctx.elevations,
-                    base_index,
-                    &mut ctx.cov_diag,
-                );
-                lstsq::gls_rank1_into(
-                    &ctx.geometry,
-                    &ctx.rhs,
-                    rank1,
-                    &ctx.cov_diag,
-                    &mut ctx.lstsq,
-                    &mut ctx.step,
-                )?;
-            }
-            GlsPath::DenseWhitened | GlsPath::DenseExplicit => {
-                if detail {
-                    let start = std::time::Instant::now();
-                    self.covariance_into(
-                        &ctx.corrected_ranges,
-                        &ctx.elevations,
-                        base_index,
-                        &mut ctx.covariance,
-                    );
-                    instrument::dlg_cov_assembly().record(start.elapsed().as_secs_f64() * 1e6);
-                } else {
-                    self.covariance_into(
-                        &ctx.corrected_ranges,
-                        &ctx.elevations,
-                        base_index,
-                        &mut ctx.covariance,
-                    );
-                }
-                let strategy = if self.gls == GlsPath::DenseWhitened {
-                    GlsStrategy::Whitened
-                } else {
-                    GlsStrategy::ExplicitInverse
-                };
-                lstsq::gls_into(
-                    &ctx.geometry,
-                    &ctx.rhs,
-                    &ctx.covariance,
-                    strategy,
-                    &mut ctx.lstsq,
-                    &mut ctx.step,
-                )?;
-            }
-        }
-        let position = Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
-        let rms = crate::dlo::residual_rms_scaled(
-            &ctx.geometry,
-            &ctx.rhs,
-            &ctx.corrected_ranges,
-            base_index,
-            position,
-        );
+        let (step, normal) = if self.gls == GlsPath::Structured {
+            let normal = self.structured_normal(&sys)?;
+            (normal.solve_cramer()?, Some(normal))
+        } else {
+            (self.solve_dense(&sys, ctx, detail)?, None)
+        };
+        let [x, y, z] = step;
+        let position = Ecef::new(x, y, z);
+        let rms = sys.residual_rms(position);
         instrument::dlg_solves().inc();
         if detail {
-            if let Some(kappa) = instrument::design_condition_number(&ctx.geometry) {
-                instrument::dlg_condition().record(kappa);
-                if gps_telemetry::enabled(Level::Debug) {
-                    Event::new(Level::Debug, "core.dlg", "solved")
-                        .with("condition_number", kappa)
-                        .with("base_index", base_index)
-                        .with("residual_rms_m", rms)
-                        .emit();
-                }
+            // The dense paths never form the normal matrix; under detail
+            // they rebuild it by the structured pass, so every path
+            // reports the same κ.
+            if let Some(normal) = normal.or_else(|| self.structured_normal(&sys).ok()) {
+                instrument::observe_direct_solve(
+                    instrument::dlg_condition(),
+                    "core.dlg",
+                    &normal,
+                    sys.base_index,
+                    rms,
+                );
             }
         }
         Ok(Solution::new(position, None, 1, rms))

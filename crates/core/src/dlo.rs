@@ -1,11 +1,10 @@
 use gps_geodesy::Ecef;
-use gps_linalg::stack::{self, SMat, SVec};
-use gps_linalg::{lstsq, Matrix, Vector, STACK_M_CAP};
+use gps_linalg::stack::{Normal3, SMat, SVec};
+use gps_linalg::{Matrix, Vector, STACK_M_CAP};
 
 use crate::instrument;
 use crate::measurement::validate;
 use crate::{BaseSelection, Measurement, Solution, SolveError};
-use gps_telemetry::{Event, Level};
 
 /// The directly linearized trilateration system `A·Xᵉ = Dᵉ` of the paper's
 /// eq. 4-8, before any least-squares estimator is applied.
@@ -49,205 +48,166 @@ pub fn linearize(
     predicted_receiver_bias_m: f64,
     base: BaseSelection,
 ) -> Result<LinearSystem, SolveError> {
-    let mut a = Matrix::default();
-    let mut d = Vector::default();
-    let mut corrected_ranges = Vec::new();
-    let mut elevations = Vec::new();
-    let base_index = linearize_into(
-        measurements,
-        predicted_receiver_bias_m,
-        base,
-        &mut a,
-        &mut d,
-        &mut corrected_ranges,
-        &mut elevations,
-    )?;
+    let diff = Differencing::new(measurements, predicted_receiver_bias_m, base)?;
+    let (mut a, mut d) = (Matrix::default(), Vector::default());
+    diff.gather(&mut a, &mut d);
     Ok(LinearSystem {
         a,
         d,
-        base_index,
-        corrected_ranges,
-        elevations,
+        base_index: diff.base_index,
+        corrected_ranges: measurements
+            .iter()
+            .map(|m| m.pseudorange - predicted_receiver_bias_m)
+            .collect(),
+        elevations: measurements.iter().map(|m| m.elevation).collect(),
     })
 }
 
-/// [`linearize`] with caller-provided buffers: fills `a`, `d`,
-/// `corrected_ranges` and `elevations` in place (reusing their
-/// capacity) and returns the selected base index. The hot path behind
-/// both direct solvers' [`crate::Solver`] impls.
-pub(crate) fn linearize_into(
-    measurements: &[Measurement],
-    predicted_receiver_bias_m: f64,
-    base: BaseSelection,
-    a: &mut Matrix,
-    d: &mut Vector,
-    corrected_ranges: &mut Vec<f64>,
-    elevations: &mut Vec<Option<f64>>,
-) -> Result<usize, SolveError> {
-    validate(measurements, 4)?;
-    if !predicted_receiver_bias_m.is_finite() {
-        return Err(SolveError::NonFinite);
-    }
-    let base_index = base.select(measurements);
-    let m = measurements.len();
-    if gps_telemetry::detail() {
-        instrument::base_index().record(base_index as f64);
-    }
-
-    corrected_ranges.clear();
-    corrected_ranges.extend(
-        measurements
-            .iter()
-            .map(|meas| meas.pseudorange - predicted_receiver_bias_m),
-    );
-    elevations.clear();
-    elevations.extend(measurements.iter().map(|m| m.elevation));
-
-    let s1 = measurements[base_index].position;
-    let rho1 = corrected_ranges[base_index];
-    let s1_norm_sq = s1.norm_squared();
-
-    a.resize_zeroed(m - 1, 3);
-    d.resize_zeroed(m - 1);
-    let mut row = 0;
-    for (j, meas) in measurements.iter().enumerate() {
-        if j == base_index {
-            continue;
-        }
-        let sj = meas.position;
-        let rhoj = corrected_ranges[j];
-        let r = a.row_mut(row);
-        r[0] = sj.x - s1.x;
-        r[1] = sj.y - s1.y;
-        r[2] = sj.z - s1.z;
-        d[row] = 0.5 * ((sj.norm_squared() - s1_norm_sq) - (rhoj * rhoj - rho1 * rho1));
-        row += 1;
-    }
-    Ok(base_index)
-}
-
-/// The direct linearization gathered into stack storage: the fast-lane
-/// counterpart of [`linearize_into`] for epochs under the
-/// [`STACK_M_CAP`] satellite cap. `Copy`, a few hundred bytes, no heap
-/// traffic at any point.
+/// The direct linearization of eq. 4-8 read straight off the measurement
+/// slice: the base is chosen and validated once, and each differenced
+/// equation is formed on demand by [`Differencing::rows`], so a solver
+/// can accumulate its normal equations in one pass and recompute the
+/// rows for the residual instead of storing `A` and `Dᵉ`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StackLinearization {
-    /// The `(m−1) × 3` design matrix of eq. 4-9.
-    pub(crate) a: SMat<STACK_M_CAP, 3>,
-    /// The right-hand side of eq. 4-11.
-    pub(crate) d: SVec<STACK_M_CAP>,
-    /// Clock-corrected pseudoranges, input order (`m` active entries).
-    pub(crate) corrected: [f64; STACK_M_CAP],
-    /// Elevation annotations, input order (`m` active entries).
-    pub(crate) elevations: [Option<f64>; STACK_M_CAP],
-    /// Which input measurement served as the base.
+pub(crate) struct Differencing<'a> {
+    measurements: &'a [Measurement],
+    bias: f64,
+    /// Which input measurement serves as the base.
     pub(crate) base_index: usize,
+    /// The base satellite's clock-corrected pseudorange `ρᴱ₁`.
+    pub(crate) base_range: f64,
+    /// The base satellite's elevation annotation.
+    pub(crate) base_elevation: Option<f64>,
+    s1: Ecef,
+    s1_norm_sq: f64,
 }
 
-/// Stack mirror of [`linearize_into`]: identical validation order and
-/// identical per-entry arithmetic, so the gathered system is bit-equal
-/// to the heap one. Callers guarantee `measurements.len() ≤
-/// STACK_M_CAP` (the lane dispatch does).
-// lint: no_alloc
-pub(crate) fn linearize_stack(
-    measurements: &[Measurement],
-    predicted_receiver_bias_m: f64,
-    base: BaseSelection,
-) -> Result<StackLinearization, SolveError> {
-    validate(measurements, 4)?;
-    if !predicted_receiver_bias_m.is_finite() {
-        return Err(SolveError::NonFinite);
+/// One differenced equation of eq. 4-8, with the satellite it came from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    /// Design row `sⱼ − s₁` (eq. 4-9).
+    pub(crate) a: [f64; 3],
+    /// Right-hand side `dⱼ` (eq. 4-11).
+    pub(crate) d: f64,
+    /// Clock-corrected pseudorange `ρᴱⱼ` (eq. 4-1).
+    pub(crate) range: f64,
+    /// Elevation annotation of satellite `j`.
+    pub(crate) elevation: Option<f64>,
+}
+
+impl Row {
+    /// Whether the row's design entries and right-hand side are finite
+    /// (differences and squares of finite inputs can still overflow).
+    pub(crate) fn is_finite(&self) -> bool {
+        self.a.iter().all(|v| v.is_finite()) && self.d.is_finite()
     }
-    let base_index = base.select(measurements);
-    let m = measurements.len();
+}
 
-    let mut sys = StackLinearization {
-        a: SMat::zeroed(m - 1),
-        d: SVec::zeroed(m - 1),
-        corrected: [0.0; STACK_M_CAP],
-        elevations: [None; STACK_M_CAP],
-        base_index,
-    };
-    for (i, meas) in measurements.iter().enumerate() {
-        sys.corrected[i] = meas.pseudorange - predicted_receiver_bias_m;
-        sys.elevations[i] = meas.elevation;
-    }
-
-    let s1 = measurements[base_index].position;
-    let rho1 = sys.corrected[base_index];
-    let s1_norm_sq = s1.norm_squared();
-
-    let mut row = 0;
-    for (j, meas) in measurements.iter().enumerate() {
-        if j == base_index {
-            continue;
+impl<'a> Differencing<'a> {
+    /// Validates the epoch and selects the base satellite.
+    ///
+    /// # Errors
+    ///
+    /// As [`linearize`]: [`SolveError::TooFewSatellites`] below 4
+    /// measurements, [`SolveError::NonFinite`] for a NaN/∞ measurement
+    /// or prediction.
+    pub(crate) fn new(
+        measurements: &'a [Measurement],
+        predicted_receiver_bias_m: f64,
+        base: BaseSelection,
+    ) -> Result<Self, SolveError> {
+        validate(measurements, 4)?;
+        if !predicted_receiver_bias_m.is_finite() {
+            return Err(SolveError::NonFinite);
         }
-        let sj = meas.position;
-        let rhoj = sys.corrected[j];
-        let r = sys.a.row_mut(row);
-        r[0] = sj.x - s1.x;
-        r[1] = sj.y - s1.y;
-        r[2] = sj.z - s1.z;
-        sys.d.as_mut_slice()[row] =
-            0.5 * ((sj.norm_squared() - s1_norm_sq) - (rhoj * rhoj - rho1 * rho1));
-        row += 1;
+        let base_index = base.select(measurements);
+        if gps_telemetry::detail() {
+            instrument::base_index().record(base_index as f64);
+        }
+        let base_meas = measurements[base_index];
+        let s1 = base_meas.position;
+        Ok(Differencing {
+            measurements,
+            bias: predicted_receiver_bias_m,
+            base_index,
+            base_range: base_meas.pseudorange - predicted_receiver_bias_m,
+            base_elevation: base_meas.elevation,
+            s1,
+            s1_norm_sq: s1.norm_squared(),
+        })
     }
-    Ok(sys)
-}
 
-/// Stack mirror of [`residual_rms_scaled`]: same per-row operations on
-/// the stack-resident system.
-// lint: no_alloc
-pub(crate) fn residual_rms_scaled_stack(
-    a: &SMat<STACK_M_CAP, 3>,
-    d: &SVec<STACK_M_CAP>,
-    corrected_ranges: &[f64],
-    base_index: usize,
-    x: Ecef,
-) -> f64 {
-    let rows = a.rows();
-    let mut sum = 0.0;
-    for r in 0..rows {
-        let row = a.row(r);
-        let component = d.as_slice()[r] - (row[0] * x.x + row[1] * x.y + row[2] * x.z);
-        let j = if r < base_index { r } else { r + 1 };
-        let scale = corrected_ranges[j].abs().max(1.0);
-        sum += (component / scale).powi(2);
+    /// Number of differenced equations, `m − 1`.
+    pub(crate) fn len(&self) -> usize {
+        self.measurements.len() - 1
     }
-    (sum / rows as f64).sqrt()
-}
 
-/// RMS of the linear-system residual `A·x − d`, normalized to a
-/// per-equation range-domain scale.
-///
-/// The raw residual lives in the squared-range domain of eq. 4-11
-/// (`dⱼ` is built from `ρⱼ²`), so its magnitude scales with the
-/// pseudoranges themselves: a δ-metre measurement error perturbs row `j`
-/// by `∂dⱼ/∂ρⱼ·δ = −ρⱼ·δ`. Dividing each component by its row's
-/// corrected range converts the residual back to equivalent metres of
-/// pseudorange, making [`crate::Solution::residual_rms`] comparable
-/// across NR, Bancroft and the direct methods — which is what RAIM
-/// thresholds and validation gates assume.
-/// Operates on the raw linearization buffers (row `r` of `a`/`d`
-/// corresponds to input measurement `r` when `r < base_index`, else
-/// `r + 1`) and performs no allocation.
-pub(crate) fn residual_rms_scaled(
-    a: &Matrix,
-    d: &Vector,
-    corrected_ranges: &[f64],
-    base_index: usize,
-    x: Ecef,
-) -> f64 {
-    let rows = a.rows();
-    let mut sum = 0.0;
-    for r in 0..rows {
-        let row = a.row(r);
-        let component = d[r] - (row[0] * x.x + row[1] * x.y + row[2] * x.z);
-        let j = if r < base_index { r } else { r + 1 };
-        let scale = corrected_ranges[j].abs().max(1.0);
-        sum += (component / scale).powi(2);
+    /// The differenced equations in input order, base skipped. Row `r`
+    /// comes from input measurement `r` when `r < base_index`, else
+    /// `r + 1`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        let (s1, rho1) = (self.s1, self.base_range);
+        self.measurements
+            .iter()
+            .enumerate()
+            .filter(move |&(j, _)| j != self.base_index)
+            .map(move |(_, meas)| {
+                let sj = meas.position;
+                let rhoj = meas.pseudorange - self.bias;
+                Row {
+                    a: [sj.x - s1.x, sj.y - s1.y, sj.z - s1.z],
+                    d: 0.5 * ((sj.norm_squared() - self.s1_norm_sq) - (rhoj * rhoj - rho1 * rho1)),
+                    range: rhoj,
+                    elevation: meas.elevation,
+                }
+            })
     }
-    (sum / rows as f64).sqrt()
+
+    /// RMS of the linear-system residual `A·x − d`, normalized to a
+    /// per-equation range-domain scale.
+    ///
+    /// The raw residual lives in the squared-range domain of eq. 4-11
+    /// (`dⱼ` is built from `ρⱼ²`), so its magnitude scales with the
+    /// pseudoranges themselves: a δ-metre measurement error perturbs row
+    /// `j` by `∂dⱼ/∂ρⱼ·δ = −ρⱼ·δ`. Dividing each component by its row's
+    /// corrected range converts the residual back to equivalent metres
+    /// of pseudorange, making [`crate::Solution::residual_rms`]
+    /// comparable across NR, Bancroft and the direct methods — which is
+    /// what RAIM thresholds and validation gates assume. The rows are
+    /// recomputed, not stored.
+    pub(crate) fn residual_rms(&self, x: Ecef) -> f64 {
+        let mut sum = 0.0;
+        for Row { a, d, range, .. } in self.rows() {
+            let [ax, ay, az] = a;
+            let component = d - (ax * x.x + ay * x.y + az * x.z);
+            let scale = range.abs().max(1.0);
+            sum += (component / scale).powi(2);
+        }
+        (sum / self.len() as f64).sqrt()
+    }
+
+    /// Materializes the design matrix and right-hand side into heap
+    /// buffers, reusing their capacity.
+    pub(crate) fn gather(&self, a: &mut Matrix, d: &mut Vector) {
+        a.resize_zeroed(self.len(), 3);
+        d.resize_zeroed(self.len());
+        for ((r, row), dr) in self.rows().enumerate().zip(d.as_mut_slice()) {
+            a.row_mut(r).copy_from_slice(&row.a);
+            *dr = row.d;
+        }
+    }
+
+    /// Materializes the design matrix and right-hand side into stack
+    /// storage. Callers guarantee `m ≤ STACK_M_CAP`.
+    pub(crate) fn gather_stack(&self) -> (SMat<STACK_M_CAP, 3>, SVec<STACK_M_CAP>) {
+        let mut a = SMat::zeroed(self.len());
+        let mut d = SVec::zeroed(self.len());
+        for ((r, row), dr) in self.rows().enumerate().zip(d.as_mut_slice()) {
+            *a.row_mut(r) = row.a;
+            *dr = row.d;
+        }
+        (a, d)
+    }
 }
 
 /// Algorithm **DLO**: Direct Linearization with the Ordinary Least Squares
@@ -292,77 +252,48 @@ impl Dlo {
     pub fn base_selection(&self) -> BaseSelection {
         self.base
     }
-
-    /// Stack-kernel fast lane: the same mathematics as the heap path in
-    /// [`crate::Solver::solve`] with every intermediate on the stack.
-    /// Bit-identical to the heap lane (pinned by `tests/solver_contract.rs`).
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let sys = linearize_stack(
-            epoch.measurements,
-            epoch.predicted_receiver_bias_m,
-            self.base,
-        )?;
-        let step = stack::ols3(&sys.a, &sys.d)?;
-        let position = Ecef::new(step[0], step[1], step[2]);
-        let rms = residual_rms_scaled_stack(
-            &sys.a,
-            &sys.d,
-            &sys.corrected[..epoch.len()],
-            sys.base_index,
-            position,
-        );
-        instrument::dlo_solves().inc();
-        Ok(Solution::new(position, None, 1, rms))
-    }
 }
 
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
 // this module (and in `use super::*` tests) still resolves through
 // `PositionSolver` unambiguously.
 impl crate::Solver for Dlo {
+    /// One pass over the differenced rows accumulates the 3×3 normal
+    /// equations (eq. 4-12), a second recomputes them for the residual.
+    /// Nothing is stored, so every satellite count runs this one path
+    /// and the context goes unused.
     // lint: no_alloc
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
-        ctx: &mut crate::SolveContext,
+        _ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        if crate::solver::stack_lane(ctx, epoch.len()) {
-            return self.solve_stack(epoch);
-        }
-        let base_index = linearize_into(
+        let sys = Differencing::new(
             epoch.measurements,
             epoch.predicted_receiver_bias_m,
             self.base,
-            &mut ctx.geometry,
-            &mut ctx.rhs,
-            &mut ctx.corrected_ranges,
-            &mut ctx.elevations,
         )?;
-        lstsq::ols_into(&ctx.geometry, &ctx.rhs, &mut ctx.lstsq, &mut ctx.step)?;
-        let position = Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
-        let rms = residual_rms_scaled(
-            &ctx.geometry,
-            &ctx.rhs,
-            &ctx.corrected_ranges,
-            base_index,
-            position,
-        );
+        let mut normal = Normal3::default();
+        let mut finite = true;
+        for row in sys.rows() {
+            finite &= row.is_finite();
+            normal.add_row(row.a, row.d);
+        }
+        if !finite {
+            return Err(SolveError::NonFinite);
+        }
+        let [x, y, z] = normal.solve_cramer()?;
+        let position = Ecef::new(x, y, z);
+        let rms = sys.residual_rms(position);
         instrument::dlo_solves().inc();
-        // The eigendecomposition behind the condition number costs more
-        // than the solve itself (and allocates); only observe it when
-        // detail is on.
         if gps_telemetry::detail() {
-            if let Some(kappa) = instrument::design_condition_number(&ctx.geometry) {
-                instrument::dlo_condition().record(kappa);
-                if gps_telemetry::enabled(Level::Debug) {
-                    Event::new(Level::Debug, "core.dlo", "solved")
-                        .with("condition_number", kappa)
-                        .with("base_index", base_index)
-                        .with("residual_rms_m", rms)
-                        .emit();
-                }
-            }
+            instrument::observe_direct_solve(
+                instrument::dlo_condition(),
+                "core.dlo",
+                &normal,
+                sys.base_index,
+                rms,
+            );
         }
         Ok(Solution::new(position, None, 1, rms))
     }
@@ -384,6 +315,7 @@ impl crate::Solver for Dlo {
 mod tests {
     use super::*;
     use crate::PositionSolver;
+    use gps_linalg::lstsq;
 
     fn sats() -> Vec<Ecef> {
         vec![

@@ -10,8 +10,9 @@
 
 use std::sync::OnceLock;
 
+use gps_linalg::stack::Normal3;
 use gps_linalg::{Matrix, SymmetricEigen};
-use gps_telemetry::{Counter, Histogram};
+use gps_telemetry::{Counter, Event, Histogram, Level};
 
 macro_rules! cached_metric {
     ($fn_name:ident, Counter, $name:literal) => {
@@ -71,19 +72,46 @@ pub(crate) fn resilient_fix_quality(name: &'static str) -> &'static Counter {
     }
 }
 
-/// 2-norm condition number of the design matrix `A`, via the symmetric
-/// eigendecomposition of its 3×3 Gram matrix: `κ₂(A) = √κ₂(AᵀA)`.
-/// `None` when the geometry is too degenerate for the QL iteration.
-pub(crate) fn design_condition_number(a: &Matrix) -> Option<f64> {
-    SymmetricEigen::new(&a.gram())
+/// 2-norm condition number of a design matrix `A` from the normal
+/// matrix `G = AᵀWA` a direct solver already accumulated: `κ₂(W½A) =
+/// √κ₂(G)`, via the symmetric eigendecomposition. `None` when the
+/// geometry is too degenerate for the QL iteration.
+pub(crate) fn normal_condition_number(normal: &Normal3) -> Option<f64> {
+    let [r0, r1, r2] = normal.gram();
+    let gram = Matrix::from_rows(&[&r0, &r1, &r2]).ok()?;
+    SymmetricEigen::new(&gram)
         .ok()
         .map(|eig| eig.condition_number().sqrt())
+}
+
+/// Detail observations of one DLO/DLG fix: the design's condition number
+/// (from the normal matrix the solve accumulated) into `condition`, plus
+/// a debug `solved` event under `target`. The eigendecomposition costs
+/// more than the solve itself (and allocates), so callers gate this on
+/// [`gps_telemetry::detail`]; it only reads what the solve produced.
+pub(crate) fn observe_direct_solve(
+    condition: &Histogram,
+    target: &'static str,
+    normal: &Normal3,
+    base_index: usize,
+    residual_rms_m: f64,
+) {
+    let Some(kappa) = normal_condition_number(normal) else {
+        return;
+    };
+    condition.record(kappa);
+    if gps_telemetry::enabled(Level::Debug) {
+        Event::new(Level::Debug, target, "solved")
+            .with("condition_number", kappa)
+            .with("base_index", base_index)
+            .with("residual_rms_m", residual_rms_m)
+            .emit();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_linalg::Matrix;
 
     #[test]
     fn handles_are_cached_and_live() {
@@ -98,14 +126,16 @@ mod tests {
     #[test]
     fn condition_number_matches_known_matrix() {
         // Diagonal design matrix: singular values are the entries.
-        let a = Matrix::from_rows(&[
-            &[3.0, 0.0, 0.0],
-            &[0.0, 2.0, 0.0],
-            &[0.0, 0.0, 1.0],
-            &[0.0, 0.0, 0.0],
-        ])
-        .unwrap();
-        let kappa = design_condition_number(&a).unwrap();
+        let mut normal = Normal3::default();
+        for row in [
+            [3.0, 0.0, 0.0],
+            [0.0, 2.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0],
+        ] {
+            normal.add_row(row, 0.0);
+        }
+        let kappa = normal_condition_number(&normal).unwrap();
         assert!((kappa - 3.0).abs() < 1e-9, "kappa {kappa}");
     }
 }

@@ -17,7 +17,9 @@
 //!   first epoch warms the capacities up, the steady-state hot path
 //!   performs **zero heap allocations** (with detail telemetry off —
 //!   condition-number observation is gated behind
-//!   [`gps_telemetry::detail`] precisely because it allocates).
+//!   [`gps_telemetry::detail`] precisely because it allocates). DLO,
+//!   structured DLG and Bancroft use no buffer at all, so they allocate
+//!   nothing from the first call.
 //!
 //! The pre-existing [`PositionSolver`] trait remains the simple
 //! allocating API: a blanket impl forwards it to [`Solver`] with a
@@ -102,36 +104,27 @@ pub(crate) struct RaimScratch {
 ///   first epoch pays the allocations once ("warm-up").
 #[derive(Debug, Clone, Default)]
 pub struct SolveContext {
-    /// Design matrix: NR Jacobian (m×4), DLO/DLG differenced geometry
-    /// ((m−1)×3), Bancroft `B` (m×4).
+    /// Design matrix: NR Jacobian (m×4), dense-Ψ DLG differenced geometry
+    /// ((m−1)×3). DLO, structured DLG and Bancroft accumulate their normal
+    /// equations row by row and store no design matrix at all.
     pub(crate) geometry: Matrix,
-    /// Primary right-hand side (NR `−P`, DLO/DLG `Dᵉ`, Bancroft `r`).
+    /// Right-hand side (NR `−P`, dense-Ψ DLG `Dᵉ`).
     pub(crate) rhs: Vector,
-    /// Secondary right-hand side (Bancroft's all-ones vector).
-    pub(crate) rhs_aux: Vector,
-    /// Primary least-squares solution buffer.
+    /// Least-squares solution buffer (NR, dense-Ψ DLG).
     pub(crate) step: Vector,
-    /// Secondary solution buffer (Bancroft's `B⁺e`).
-    pub(crate) step_aux: Vector,
     /// Per-measurement weights (NR elevation weighting).
     pub(crate) weights: Vec<f64>,
-    /// Clock-corrected pseudoranges `ρᴱᵢ` (eq. 4-1), input order.
-    pub(crate) corrected_ranges: Vec<f64>,
-    /// Elevation annotations, input order.
-    pub(crate) elevations: Vec<Option<f64>>,
     /// DLG covariance `Ψ` (eq. 4-26), factored in place by GLS
     /// (dense ablation lanes only — the structured default never builds it).
     pub(crate) covariance: Matrix,
-    /// Diagonal part of the structured Ψ decomposition
-    /// `Ψ = ρ₁²·𝟙𝟙ᵀ + diag(d)` (DLG's Sherman–Morrison lane).
-    pub(crate) cov_diag: Vec<f64>,
     /// Normal equations / whitening scratch for `gps_linalg::lstsq`.
     pub(crate) lstsq: LstsqScratch,
     /// RAIM fault-exclusion workspaces.
     pub(crate) raim: RaimScratch,
-    /// When set, solves take the heap lane even under the stack kernels'
-    /// m-cap. Default unset: the stack lane is on (the two lanes are
-    /// bit-identical, so this is purely a performance/measurement knob).
+    /// When set, NR and dense-Ψ DLG take the heap lane even under the
+    /// stack kernels' m-cap. Default unset: the stack lane is on (the two
+    /// lanes are bit-identical, so this is purely a performance and
+    /// measurement knob).
     heap_only: bool,
 }
 
@@ -144,13 +137,16 @@ impl SolveContext {
 
     /// Whether the stack-kernel fast lane is enabled (default: yes).
     ///
-    /// With the lane enabled, solvers route epochs of at most
-    /// [`gps_linalg::STACK_M_CAP`] measurements through the
+    /// Only the two solvers that keep two lanes read it: NR (its
+    /// Jacobian is rebuilt every iteration) and DLG on the dense-Ψ
+    /// [`crate::GlsPath`]s. With the lane enabled they route epochs of at
+    /// most [`gps_linalg::STACK_M_CAP`] measurements through the
     /// const-generic stack kernels of [`gps_linalg::stack`] — no heap
     /// traffic at all, not even warm-up — and fall back to the heap
     /// scratch buffers above the cap. Results are bit-for-bit identical
     /// either way; disabling the lane exists for benchmarks that measure
-    /// the heap path and for parity tests.
+    /// the heap path and for parity tests. DLO, structured DLG and
+    /// Bancroft have one code path for every m and ignore the setting.
     #[must_use]
     pub fn stack_kernels(&self) -> bool {
         !self.heap_only
@@ -169,14 +165,13 @@ impl SolveContext {
     }
 }
 
-/// Lane dispatch shared by the four solvers: the stack fast lane runs
-/// when the context allows it, the epoch fits under the
-/// [`gps_linalg::STACK_M_CAP`] cap, and detail telemetry is off (the
-/// detail observations — condition numbers, covariance-assembly timing —
-/// are wired to the heap buffers; both lanes are bit-identical, so
-/// falling back costs nothing but speed).
+/// Lane dispatch for the two-lane solvers (NR and dense-Ψ DLG): the
+/// stack fast lane runs when the context allows it and the epoch fits
+/// under the [`gps_linalg::STACK_M_CAP`] cap. Detail telemetry does not
+/// move a solve between lanes: every detail observation reads values
+/// both lanes produce.
 pub(crate) fn stack_lane(ctx: &SolveContext, m: usize) -> bool {
-    ctx.stack_kernels() && m <= gps_linalg::STACK_M_CAP && !gps_telemetry::detail()
+    ctx.stack_kernels() && m <= gps_linalg::STACK_M_CAP
 }
 
 /// Common hot-path interface over the positioning algorithms.

@@ -20,6 +20,7 @@
 //! [`ols_qr`] offers a Householder-QR alternative for the linalg-path
 //! ablation and for ill-conditioned geometry.
 
+use crate::stack::{Normal3, Rank1Normal3};
 use crate::{Cholesky, LinalgError, Matrix, QrDecomposition, Vector};
 
 /// Reusable scratch buffers for the `*_into` least-squares entry points.
@@ -198,40 +199,12 @@ pub fn ols3(a: &Matrix, b: &Vector) -> crate::Result<[f64; 3]> {
         });
     }
     check_system(a, b, "ols3")?;
-    // Accumulate AᵀA (symmetric) and Aᵀb.
-    let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut c0, mut c1, mut c2) = (0.0, 0.0, 0.0);
+    let mut normal = Normal3::default();
     for r in 0..m {
         let row = a.row(r);
-        let (x, y, z) = (row[0], row[1], row[2]);
-        let w = b[r];
-        g00 += x * x;
-        g01 += x * y;
-        g02 += x * z;
-        g11 += y * y;
-        g12 += y * z;
-        g22 += z * z;
-        c0 += x * w;
-        c1 += y * w;
-        c2 += z * w;
+        normal.add_row([row[0], row[1], row[2]], b[r]);
     }
-    // Cramer's rule on the symmetric 3×3 system.
-    let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * g12 - g11 * g02);
-    let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
-    if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-        return Err(LinalgError::Singular);
-    }
-    let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
-        + g02 * (c1 * g12 - g11 * c2))
-        / det;
-    let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * c2 - c1 * g02))
-        / det;
-    let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
-        + c0 * (g01 * g12 - g11 * g02))
-        / det;
-    Ok([x0, x1, x2])
+    normal.solve_cramer()
 }
 
 /// Ordinary least squares solved through Householder QR instead of the
@@ -536,6 +509,18 @@ pub fn gls_rank1_into(
             op: "gls_rank1 diagonal",
         });
     }
+    if n == 3 {
+        // Three unknowns (the DLG shape): the scalar accumulator runs the
+        // same checks, in the same order, as the general path below.
+        let mut acc = Rank1Normal3::default();
+        for (r, &d) in diag.iter().enumerate() {
+            let row = a.row(r);
+            acc.add_row([row[0], row[1], row[2]], b[r], d);
+        }
+        let sol = acc.finish(rank1)?.solve_cramer()?;
+        x.copy_from_slice(&sol);
+        return Ok(());
+    }
     if !rank1.is_finite() {
         return Err(LinalgError::NonFinite);
     }
@@ -552,83 +537,7 @@ pub fn gls_rank1_into(
     if t <= 0.0 || !t.is_finite() {
         return Err(LinalgError::NotPositiveDefinite { pivot: m - 1 });
     }
-    let gamma = rank1 / t;
-    if n == 3 {
-        let sol = gls3_rank1_core(a, b, gamma, diag)?;
-        x.copy_from_slice(&sol);
-        return Ok(());
-    }
-    gls_rank1_core(a, b, gamma, diag, scratch, x)
-}
-
-/// Three-unknown core of [`gls_rank1_into`] (the DLG hot shape): scalar
-/// accumulators for `AᵀD⁻¹A`, `AᵀD⁻¹b`, `u = AᵀD⁻¹𝟙` and `s = 𝟙ᵀD⁻¹b`,
-/// one rank-one correction, then the same Cramer tail as [`ols3`].
-///
-/// The statement order here is mirrored exactly by
-/// `stack::gls3_rank1`, so the two lanes stay bit-identical.
-// lint: no_alloc
-fn gls3_rank1_core(a: &Matrix, b: &Vector, gamma: f64, diag: &[f64]) -> crate::Result<[f64; 3]> {
-    let m = a.rows();
-    // Accumulate AᵀD⁻¹A (symmetric), AᵀD⁻¹b, AᵀD⁻¹𝟙 and 𝟙ᵀD⁻¹b.
-    let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut c0, mut c1, mut c2) = (0.0, 0.0, 0.0);
-    let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-    let mut s = 0.0;
-    for r in 0..m {
-        let row = a.row(r);
-        let (x, y, z) = (row[0], row[1], row[2]);
-        let bv = b[r];
-        let w = 1.0 / diag[r];
-        g00 += x * x * w;
-        g01 += x * y * w;
-        g02 += x * z * w;
-        g11 += y * y * w;
-        g12 += y * z * w;
-        g22 += z * z * w;
-        c0 += x * bv * w;
-        c1 += y * bv * w;
-        c2 += z * bv * w;
-        u0 += x * w;
-        u1 += y * w;
-        u2 += z * w;
-        s += bv * w;
-    }
-    // Sherman–Morrison rank-one correction: G −= γ·uuᵀ, c −= γ·s·u.
-    g00 -= gamma * u0 * u0;
-    g01 -= gamma * u0 * u1;
-    g02 -= gamma * u0 * u2;
-    g11 -= gamma * u1 * u1;
-    g12 -= gamma * u1 * u2;
-    g22 -= gamma * u2 * u2;
-    c0 -= gamma * s * u0;
-    c1 -= gamma * s * u1;
-    c2 -= gamma * s * u2;
-    // On the dense path an accumulation overflow surfaces as NonFinite
-    // (ols3 re-checks the whitened system); keep that error surface.
-    let finite = [g00, g01, g02, g11, g12, g22, c0, c1, c2]
-        .iter()
-        .all(|v| v.is_finite());
-    if !finite {
-        return Err(LinalgError::NonFinite);
-    }
-    // Cramer's rule on the symmetric 3×3 system (same tail as ols3).
-    let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * g12 - g11 * g02);
-    let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
-    if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-        return Err(LinalgError::Singular);
-    }
-    let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
-        + g02 * (c1 * g12 - g11 * c2))
-        / det;
-    let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * c2 - c1 * g02))
-        / det;
-    let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
-        + c0 * (g01 * g12 - g11 * g02))
-        / det;
-    Ok([x0, x1, x2])
+    gls_rank1_core(a, b, rank1 / t, diag, scratch, x)
 }
 
 /// General-width core of [`gls_rank1_into`]: the same one-pass assembly

@@ -1,43 +1,48 @@
-//! Stack-allocated const-generic kernels for the hot solve shapes.
+//! Stack-allocated kernels for the hot solve shapes.
 //!
-//! The paper's positioning systems are tiny — `m ≤ ~12` pseudorange rows,
-//! 3–4 unknowns — so the general heap-backed [`crate::Matrix`] path spends
-//! a measurable share of every fix on pointer chasing and runtime-dimension
-//! bookkeeping. This module provides the same least-squares kernels on
-//! fixed-capacity, `Copy`, stack-resident types:
+//! The paper's positioning systems are tiny — a few dozen pseudorange
+//! rows at most, 3–4 unknowns — so the general heap-backed
+//! [`crate::Matrix`] path spends a measurable share of every fix on
+//! pointer chasing and runtime-dimension bookkeeping. This module holds
+//! the kernels that avoid it:
 //!
-//! * [`SMat<M, N>`] / [`SVec<N>`] — `M`/`N` are **capacities**; the active
-//!   row count is a runtime field bounded by the capacity, so one
-//!   monomorphization (capacity [`STACK_M_CAP`]) serves every satellite
-//!   count the solvers meet.
-//! * [`ols3`] / [`ols4`] — normal-equation OLS for the two hot column
-//!   counts (direct linearization: 3 unknowns; NR/Bancroft: 4).
-//! * [`wls4`] — row-scaled weighted least squares (NR elevation weighting).
-//! * [`gls3`] — whitened general least squares (DLG's correlated Ψ).
-//! * [`gls3_rank1`] — structured general least squares for the
-//!   rank-one-plus-diagonal Ψ via Sherman–Morrison (DLG's `O(m)` lane;
-//!   no covariance matrix is built at all).
-//! * [`cholesky_factor`] and the substitution kernels underneath them.
+//! * [`Normal3`] / [`Rank1Normal3`] — the 3-unknown normal equations as
+//!   scalar accumulators, fed one row at a time (plain OLS, and GLS under
+//!   a rank-one-plus-diagonal covariance via Sherman–Morrison). DLO and
+//!   the structured DLG form each differenced row on the fly and push it
+//!   straight in, so they store no design matrix and run one code path
+//!   for every satellite count; `lstsq::ols3` and `lstsq::gls_rank1_into`
+//!   share the same accumulators.
+//! * [`cholesky_factor`], [`cholesky_forward`], [`cholesky_back`] — the
+//!   in-place factor and substitutions; Bancroft factors its 4×4 Gram
+//!   with them once for both right-hand sides.
+//! * [`SMat<M, N>`] / [`SVec<N>`] with [`ols3`] / [`ols4`] / [`wls4`] /
+//!   [`gls3`] — fixed-capacity storage and least-squares kernels for the
+//!   two solvers that still keep a stack lane beside their heap lane:
+//!   Newton–Raphson (its Jacobian is rebuilt every iteration) and DLG's
+//!   dense-Ψ ablation paths. `M`/`N` are **capacities**; the active row
+//!   count is a runtime field, capped at [`STACK_M_CAP`].
 //!
 //! # Bit-for-bit parity with the heap path
 //!
 //! Every kernel here performs **the same floating-point operations in the
 //! same order** as its heap counterpart in [`crate::lstsq`] /
-//! [`crate::Cholesky`] ([`ols3`] mirrors `lstsq::ols3`, [`ols4`] mirrors
-//! `ols_into`'s gram + Cholesky chain, [`wls4`] mirrors `wls_into`,
-//! [`gls3`] mirrors `gls_into` with [`crate::lstsq::GlsStrategy::Whitened`]).
-//! IEEE-754 arithmetic is deterministic, so on identical inputs the stack
-//! and heap lanes return bit-identical results and identical errors — a
-//! property pinned by the `stack_parity` test suite and relied on by
-//! `gps-core`'s solver dispatch (stack lane under the m-cap, heap lane
-//! above it, callers can't tell which one ran).
+//! [`crate::Cholesky`] ([`ols3`] and `lstsq::ols3` share [`Normal3`],
+//! [`ols4`] mirrors `ols_into`'s gram + Cholesky chain, [`wls4`] mirrors
+//! `wls_into`, [`gls3`] mirrors `gls_into` with
+//! [`crate::lstsq::GlsStrategy::Whitened`]). IEEE-754 arithmetic is
+//! deterministic, so on identical inputs the stack and heap lanes return
+//! bit-identical results and identical errors — a property pinned by the
+//! `stack_parity` test suite and relied on by `gps-core`'s two-lane
+//! solvers (stack lane under the m-cap, heap lane above it, callers
+//! can't tell which one ran).
 
 use crate::LinalgError;
 
-/// Maximum row count (satellites) the stack kernels accept. Epochs with
-/// more measurements take the heap lane; the cap is sized so a full
-/// [`SMat<STACK_M_CAP, 4>`] plus the DLG covariance stay comfortably
-/// within a couple of KiB of stack.
+/// Maximum row count (satellites) the [`SMat`] kernels accept. NR and
+/// dense-Ψ DLG epochs with more measurements take the heap lane; the cap
+/// is sized so a full [`SMat<STACK_M_CAP, 4>`] plus the dense DLG
+/// covariance stay comfortably within a couple of KiB of stack.
 pub const STACK_M_CAP: usize = 16;
 
 /// Fixed-capacity row-major matrix: `M` rows × `N` columns of storage,
@@ -190,9 +195,205 @@ fn check_kernel<const M: usize, const N: usize>(
     Ok(())
 }
 
-/// Stack mirror of [`crate::lstsq::ols3`]: 3-unknown OLS through scalar
-/// normal-equation accumulators and Cramer's rule. Bit-identical results
-/// and errors on identical inputs.
+/// Three-unknown normal equations `G x = c` (`G = AᵀWA`, `c = AᵀWb`)
+/// held as nine scalar accumulators — the system every direct-
+/// linearization solve reduces to.
+///
+/// Rows are pushed one at a time, so a caller can form each row from its
+/// measurements and never store the design matrix. Every 3-unknown
+/// kernel in the crate accumulates and solves through this type, so they
+/// all share one per-accumulator summation order and one Cramer tail,
+/// and agree to the bit on identical rows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Normal3 {
+    g00: f64,
+    g01: f64,
+    g02: f64,
+    g11: f64,
+    g12: f64,
+    g22: f64,
+    c0: f64,
+    c1: f64,
+    c2: f64,
+}
+
+impl Normal3 {
+    /// Adds row `(x, y, z)` with right-hand side `b` at unit weight.
+    #[inline]
+    pub fn add_row(&mut self, [x, y, z]: [f64; 3], b: f64) {
+        self.g00 += x * x;
+        self.g01 += x * y;
+        self.g02 += x * z;
+        self.g11 += y * y;
+        self.g12 += y * z;
+        self.g22 += z * z;
+        self.c0 += x * b;
+        self.c1 += y * b;
+        self.c2 += z * b;
+    }
+
+    /// Adds row `(x, y, z)` with right-hand side `b` at weight `w`; each
+    /// product is formed as `(x·y)·w`.
+    #[inline]
+    fn add_weighted_row(&mut self, [x, y, z]: [f64; 3], b: f64, w: f64) {
+        self.g00 += x * x * w;
+        self.g01 += x * y * w;
+        self.g02 += x * z * w;
+        self.g11 += y * y * w;
+        self.g12 += y * z * w;
+        self.g22 += z * z * w;
+        self.c0 += x * b * w;
+        self.c1 += y * b * w;
+        self.c2 += z * b * w;
+    }
+
+    /// Whether every accumulator is finite.
+    fn is_finite(&self) -> bool {
+        [
+            self.g00, self.g01, self.g02, self.g11, self.g12, self.g22, self.c0, self.c1, self.c2,
+        ]
+        .iter()
+        .all(|v| v.is_finite())
+    }
+
+    /// The symmetric matrix `G`, row by row (for diagnostics such as
+    /// condition numbers).
+    #[must_use]
+    pub fn gram(&self) -> [[f64; 3]; 3] {
+        [
+            [self.g00, self.g01, self.g02],
+            [self.g01, self.g11, self.g12],
+            [self.g02, self.g12, self.g22],
+        ]
+    }
+
+    /// Solves `G x = c` by Cramer's rule on the symmetric 3×3 system.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::Singular`] when `|det G|` is at most `1e-13` of the
+    /// cube of `G`'s largest diagonal entry.
+    pub fn solve_cramer(&self) -> crate::Result<[f64; 3]> {
+        let Normal3 {
+            g00,
+            g01,
+            g02,
+            g11,
+            g12,
+            g22,
+            c0,
+            c1,
+            c2,
+        } = *self;
+        let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+            + g02 * (g01 * g12 - g11 * g02);
+        let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
+        if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
+            return Err(LinalgError::Singular);
+        }
+        let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
+            + g02 * (c1 * g12 - g11 * c2))
+            / det;
+        let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
+            + g02 * (g01 * c2 - c1 * g02))
+            / det;
+        let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
+            + c0 * (g01 * g12 - g11 * g02))
+            / det;
+        Ok([x0, x1, x2])
+    }
+}
+
+/// Structured general least squares for three unknowns under the
+/// covariance `M = rank1·𝟙𝟙ᵀ + diag(d)`, accumulated row by row.
+///
+/// Each row arrives with its diagonal entry `dᵢ`; the accumulator keeps
+/// `AᵀD⁻¹A`, `AᵀD⁻¹b`, `u = AᵀD⁻¹𝟙`, `s = 𝟙ᵀD⁻¹b` and `Σ 1/dᵢ`, and
+/// [`Rank1Normal3::finish`] applies the Sherman–Morrison correction
+/// `G −= γ·uuᵀ`, `c −= γ·s·u` with `γ = rank1 / (1 + rank1·Σ 1/dᵢ)`.
+/// `O(m)` work, no matrix of any size stored — the kernel behind
+/// `lstsq::gls_rank1_into`'s three-unknown shape and the structured DLG.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Rank1Normal3 {
+    normal: Normal3,
+    u0: f64,
+    u1: f64,
+    u2: f64,
+    s: f64,
+    inv_sum: f64,
+    rows: usize,
+    not_pd: Option<usize>,
+}
+
+impl Rank1Normal3 {
+    /// Adds row `a` with right-hand side `b` and covariance diagonal
+    /// entry `d` (weight `1/d`).
+    #[inline]
+    pub fn add_row(&mut self, a: [f64; 3], b: f64, d: f64) {
+        if (d <= 0.0 || !d.is_finite()) && self.not_pd.is_none() {
+            self.not_pd = Some(self.rows);
+        }
+        let w = 1.0 / d;
+        self.inv_sum += w;
+        self.normal.add_weighted_row(a, b, w);
+        let [x, y, z] = a;
+        self.u0 += x * w;
+        self.u1 += y * w;
+        self.u2 += z * w;
+        self.s += b * w;
+        self.rows += 1;
+    }
+
+    /// Tests `M` for positive definiteness and returns the corrected
+    /// normal equations `AᵀM⁻¹A x = AᵀM⁻¹b`, ready for
+    /// [`Normal3::solve_cramer`].
+    ///
+    /// `M` is positive definite iff every `dᵢ > 0` and
+    /// `t = 1 + rank1·Σ 1/dᵢ > 0`; both are tested exactly.
+    ///
+    /// # Errors
+    ///
+    /// In this order: [`LinalgError::NonFinite`] for a NaN/∞ `rank1`;
+    /// [`LinalgError::NotPositiveDefinite`] at the first row with
+    /// `dᵢ ≤ 0` (pivot = that row), or for `t ≤ 0` (pivot = last row,
+    /// where a dense factorization would generically fail);
+    /// [`LinalgError::NonFinite`] if the corrected system overflowed.
+    pub fn finish(&self, rank1: f64) -> crate::Result<Normal3> {
+        if !rank1.is_finite() {
+            return Err(LinalgError::NonFinite);
+        }
+        if let Some(pivot) = self.not_pd {
+            return Err(LinalgError::NotPositiveDefinite { pivot });
+        }
+        let t = 1.0 + rank1 * self.inv_sum;
+        if t <= 0.0 || !t.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite {
+                pivot: self.rows.saturating_sub(1),
+            });
+        }
+        let gamma = rank1 / t;
+        let (u0, u1, u2, s) = (self.u0, self.u1, self.u2, self.s);
+        let mut n = self.normal;
+        n.g00 -= gamma * u0 * u0;
+        n.g01 -= gamma * u0 * u1;
+        n.g02 -= gamma * u0 * u2;
+        n.g11 -= gamma * u1 * u1;
+        n.g12 -= gamma * u1 * u2;
+        n.g22 -= gamma * u2 * u2;
+        n.c0 -= gamma * s * u0;
+        n.c1 -= gamma * s * u1;
+        n.c2 -= gamma * s * u2;
+        // On the dense path an accumulation overflow surfaces as
+        // NonFinite (ols3 re-checks the whitened system); keep that.
+        if !n.is_finite() {
+            return Err(LinalgError::NonFinite);
+        }
+        Ok(n)
+    }
+}
+
+/// Stack mirror of [`crate::lstsq::ols3`]: 3-unknown OLS through
+/// [`Normal3`]. Bit-identical results and errors on identical inputs.
 ///
 /// # Errors
 ///
@@ -201,39 +402,11 @@ fn check_kernel<const M: usize, const N: usize>(
 // lint: no_alloc
 pub fn ols3<const M: usize>(a: &SMat<M, 3>, b: &SVec<M>) -> crate::Result<[f64; 3]> {
     check_kernel(a, b, "ols3")?;
-    // Accumulate AᵀA (symmetric) and Aᵀb — the same statement order as the
-    // heap kernel, so every rounding step matches.
-    let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut c0, mut c1, mut c2) = (0.0, 0.0, 0.0);
-    for (row, &w) in a.active_rows().iter().zip(b.as_slice()) {
-        let (x, y, z) = (row[0], row[1], row[2]);
-        g00 += x * x;
-        g01 += x * y;
-        g02 += x * z;
-        g11 += y * y;
-        g12 += y * z;
-        g22 += z * z;
-        c0 += x * w;
-        c1 += y * w;
-        c2 += z * w;
+    let mut normal = Normal3::default();
+    for (&row, &w) in a.active_rows().iter().zip(b.as_slice()) {
+        normal.add_row(row, w);
     }
-    // Cramer's rule on the symmetric 3×3 system.
-    let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * g12 - g11 * g02);
-    let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
-    if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-        return Err(LinalgError::Singular);
-    }
-    let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
-        + g02 * (c1 * g12 - g11 * c2))
-        / det;
-    let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * c2 - c1 * g02))
-        / det;
-    let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
-        + c0 * (g01 * g12 - g11 * g02))
-        / det;
-    Ok([x0, x1, x2])
+    normal.solve_cramer()
 }
 
 /// Stack mirror of `lstsq::ols_core` for 4 unknowns: forms the 4×4 normal
@@ -350,114 +523,6 @@ pub fn gls3<const M: usize, const C: usize>(
     // The heap path re-runs ols3's input checks on the whitened system
     // (overflow during whitening surfaces as NonFinite there); keep that.
     ols3(&whitened_a, &whitened_b)
-}
-
-/// Stack mirror of [`crate::lstsq::gls_rank1_into`] for the 3-unknown
-/// shape: structured GLS for a rank-one-plus-diagonal covariance
-/// `M = rank1·𝟙𝟙ᵀ + diag(d)` via the Sherman–Morrison identity — `O(m)`
-/// work and scratch, no covariance matrix materialized at all.
-/// Bit-identical results and errors on identical inputs (the heap kernel's
-/// validation sequence, accumulator statement order and Cramer tail are
-/// reproduced exactly).
-///
-/// # Errors
-///
-/// Same conditions as [`crate::lstsq::gls_rank1`]
-/// ([`LinalgError::NotPositiveDefinite`] on a non-positive diagonal entry
-/// or a non-positive Sherman–Morrison denominator).
-// lint: no_alloc
-pub fn gls3_rank1<const M: usize>(
-    a: &SMat<M, 3>,
-    b: &SVec<M>,
-    rank1: f64,
-    diag: &[f64],
-) -> crate::Result<[f64; 3]> {
-    check_kernel(a, b, "gls_rank1")?;
-    let m = a.rows;
-    if diag.len() != m {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, 3),
-            right: (diag.len(), 1),
-            op: "gls_rank1 diagonal",
-        });
-    }
-    if !rank1.is_finite() {
-        return Err(LinalgError::NonFinite);
-    }
-    // Positive-definiteness of M = rank1·𝟙𝟙ᵀ + D, tested exactly: D ≻ 0
-    // entry by entry, then the Sherman–Morrison denominator t > 0.
-    let mut inv_sum = 0.0;
-    for (i, &d) in diag.iter().enumerate() {
-        if d <= 0.0 || !d.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite { pivot: i });
-        }
-        inv_sum += 1.0 / d;
-    }
-    let t = 1.0 + rank1 * inv_sum;
-    if t <= 0.0 || !t.is_finite() {
-        return Err(LinalgError::NotPositiveDefinite { pivot: m - 1 });
-    }
-    let gamma = rank1 / t;
-    // Accumulate AᵀD⁻¹A (symmetric), AᵀD⁻¹b, AᵀD⁻¹𝟙 and 𝟙ᵀD⁻¹b — the
-    // same statement order as the heap kernel, so every rounding matches.
-    let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut c0, mut c1, mut c2) = (0.0, 0.0, 0.0);
-    let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-    let mut s = 0.0;
-    for (r, &dv) in diag.iter().enumerate() {
-        let row = &a.data[r];
-        let (x, y, z) = (row[0], row[1], row[2]);
-        let bv = b.data[r];
-        let w = 1.0 / dv;
-        g00 += x * x * w;
-        g01 += x * y * w;
-        g02 += x * z * w;
-        g11 += y * y * w;
-        g12 += y * z * w;
-        g22 += z * z * w;
-        c0 += x * bv * w;
-        c1 += y * bv * w;
-        c2 += z * bv * w;
-        u0 += x * w;
-        u1 += y * w;
-        u2 += z * w;
-        s += bv * w;
-    }
-    // Sherman–Morrison rank-one correction: G −= γ·uuᵀ, c −= γ·s·u.
-    g00 -= gamma * u0 * u0;
-    g01 -= gamma * u0 * u1;
-    g02 -= gamma * u0 * u2;
-    g11 -= gamma * u1 * u1;
-    g12 -= gamma * u1 * u2;
-    g22 -= gamma * u2 * u2;
-    c0 -= gamma * s * u0;
-    c1 -= gamma * s * u1;
-    c2 -= gamma * s * u2;
-    // On the dense path an accumulation overflow surfaces as NonFinite
-    // (ols3 re-checks the whitened system); keep that error surface.
-    let finite = [g00, g01, g02, g11, g12, g22, c0, c1, c2]
-        .iter()
-        .all(|v| v.is_finite());
-    if !finite {
-        return Err(LinalgError::NonFinite);
-    }
-    // Cramer's rule on the symmetric 3×3 system (same tail as ols3).
-    let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * g12 - g11 * g02);
-    let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
-    if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-        return Err(LinalgError::Singular);
-    }
-    let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
-        + g02 * (c1 * g12 - g11 * c2))
-        / det;
-    let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * c2 - c1 * g02))
-        / det;
-    let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
-        + c0 * (g01 * g12 - g11 * g02))
-        / det;
-    Ok([x0, x1, x2])
 }
 
 /// Stack mirror of [`crate::Cholesky::factor_in_place`] over the active
@@ -714,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn gls3_rank1_zero_rank1_unit_diag_matches_ols3() {
+    fn rank1_normal3_reduces_to_ols_and_guards_definiteness() {
         let rows = [
             [2.0, 1.0, 0.5],
             [0.3, 1.5, -0.2],
@@ -722,65 +787,33 @@ mod tests {
             [0.8, -0.6, 1.1],
         ];
         let b = [1.0, -2.0, 0.5, 3.0];
-        let a = smat3(&rows);
-        let bv = svec(&b);
-        let via_rank1 = gls3_rank1(&a, &bv, 0.0, &[1.0; 4]).unwrap();
-        let via_ols = ols3(&a, &bv).unwrap();
-        for (g, o) in via_rank1.iter().zip(via_ols) {
-            assert_eq!(g.to_bits(), o.to_bits());
-        }
-    }
-
-    #[test]
-    fn gls3_rank1_matches_dense_gls3() {
-        let rows = [
-            [2.0, 1.0, 0.5],
-            [0.3, 1.5, -0.2],
-            [-1.0, 0.4, 2.0],
-            [0.8, -0.6, 1.1],
-            [0.2, 2.2, 0.9],
-        ];
-        let b = [1.0, -2.0, 0.5, 3.0, -0.7];
-        let diag = [1.0, 2.0, 0.5, 1.5, 3.0];
-        let rank1 = 0.8;
-        let a = smat3(&rows);
-        let bv = svec(&b);
-        let mut cov = SMat::<STACK_M_CAP, STACK_M_CAP>::zeroed(5);
-        for (r, &d) in diag.iter().enumerate() {
-            for c in 0..5 {
-                cov.row_mut(r)[c] = rank1 + if r == c { d } else { 0.0 };
+        let with_diag = |diag: [f64; 4]| {
+            let mut acc = Rank1Normal3::default();
+            for ((&row, &bv), d) in rows.iter().zip(&b).zip(diag) {
+                acc.add_row(row, bv, d);
             }
+            acc
+        };
+        // rank1 = 0 with a unit diagonal is plain OLS, to the bit.
+        let structured = with_diag([1.0; 4])
+            .finish(0.0)
+            .unwrap()
+            .solve_cramer()
+            .unwrap();
+        let plain = ols3(&smat3(&rows), &svec(&b)).unwrap();
+        for (s, o) in structured.iter().zip(plain) {
+            assert_eq!(s.to_bits(), o.to_bits());
         }
-        let dense = gls3(&a, &bv, &mut cov).unwrap();
-        let fast = gls3_rank1(&a, &bv, rank1, &diag).unwrap();
-        for (d, f) in dense.iter().zip(fast) {
-            assert!((d - f).abs() < 1e-12, "dense {d} vs structured {f}");
-        }
-    }
-
-    #[test]
-    fn gls3_rank1_rejects_degenerate_covariance() {
-        let a = smat3(&[
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [1.0, 1.0, 1.0],
-        ]);
-        let b = svec(&[1.0; 4]);
         assert_eq!(
-            gls3_rank1(&a, &b, 1.0, &[1.0, -1.0, 1.0, 1.0]).unwrap_err(),
+            with_diag([1.0, -1.0, 1.0, 0.0]).finish(1.0).unwrap_err(),
             LinalgError::NotPositiveDefinite { pivot: 1 }
         );
         assert_eq!(
-            gls3_rank1(&a, &b, -0.5, &[1.0; 4]).unwrap_err(),
+            with_diag([1.0; 4]).finish(-0.5).unwrap_err(),
             LinalgError::NotPositiveDefinite { pivot: 3 }
         );
-        assert!(matches!(
-            gls3_rank1(&a, &b, 1.0, &[1.0; 3]).unwrap_err(),
-            LinalgError::ShapeMismatch { .. }
-        ));
         assert_eq!(
-            gls3_rank1(&a, &b, f64::INFINITY, &[1.0; 4]).unwrap_err(),
+            with_diag([1.0; 4]).finish(f64::NAN).unwrap_err(),
             LinalgError::NonFinite
         );
     }
