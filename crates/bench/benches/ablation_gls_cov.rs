@@ -7,16 +7,22 @@
 //!    off-diagonals of eq. 4-26) versus merely the unequal variances?
 //!    Identity ≡ DLO, so the timing also brackets the GLS overhead.
 //! 2. **GLS path** (time, m ∈ {4, 6, 8, 10, 20, 40} over the multi-GNSS
-//!    segment): the same full-Ψ solve through the O(m·n) Sherman–Morrison
-//!    kernel versus the dense O(m³) whitened-Cholesky and
-//!    explicit-inverse lanes. This is the tentpole number for the
-//!    structured-covariance work: identical fixes, and the per-fix gap
-//!    must *widen* with m.
+//!    segment): the same full-Ψ solve through DLG's two paths — the
+//!    O(m·n) Sherman–Morrison kernel and the dense O(m³)
+//!    whitened-Cholesky kernel — and through eq. 4-21 evaluated
+//!    literally with an explicit Ψ⁻¹ on `linearize`'s system (the
+//!    `explicit-inv` ids). Identical fixes; the per-fix gap must *widen*
+//!    with m.
 
 use gps_bench::harness::Harness;
 use gps_bench::{fixture_dataset, fixture_epochs, fixture_epochs_multi};
 use gps_core::metrics::Summary;
-use gps_core::{CovarianceModel, Dlg, Epoch, GlsPath, Measurement, PositionSolver, SolveContext};
+use gps_core::{
+    linearize, BaseSelection, CovarianceModel, Dlg, Epoch, GlsPath, Measurement, PositionSolver,
+    SolveContext,
+};
+use gps_linalg::lstsq::{self, GlsStrategy, LstsqScratch};
+use gps_linalg::{Matrix, Vector};
 use std::hint::black_box;
 
 const MODELS: [(&str, CovarianceModel); 4] = [
@@ -82,10 +88,9 @@ fn quick() -> bool {
     std::env::var_os("GPS_BENCH_QUICK").is_some_and(|v| v != "0")
 }
 
-const PATHS: [(&str, GlsPath); 3] = [
+const PATHS: [(&str, GlsPath); 2] = [
     ("structured", GlsPath::Structured),
     ("whitened", GlsPath::DenseWhitened),
-    ("explicit-inv", GlsPath::DenseExplicit),
 ];
 
 const SWEEP_M: [usize; 6] = [4, 6, 8, 10, 20, 40];
@@ -101,6 +106,23 @@ fn solve_all(dlg: &Dlg, epochs: &[Vec<Measurement>], ctx: &mut SolveContext) {
         ));
     }
 }
+
+/// Eq. 4-21 evaluated literally — Ψ and its explicit inverse — through
+/// the public linearization and linalg API. It allocates per fix: it is
+/// the faithful-to-the-text reference, not a solver path.
+fn solve_all_explicit(dlg: &Dlg, epochs: &[Vec<Measurement>], buffers: &mut ExplicitBuffers) {
+    let (cov, scratch, x) = buffers;
+    for meas in epochs {
+        let Ok(sys) = linearize(black_box(meas), 12.0, BaseSelection::First) else {
+            continue;
+        };
+        dlg.covariance_matrix_into(&sys, cov);
+        let strategy = GlsStrategy::ExplicitInverse;
+        let _ = black_box(lstsq::gls_into(&sys.a, &sys.d, cov, strategy, scratch, x));
+    }
+}
+
+type ExplicitBuffers = (Matrix, LstsqScratch, Vector);
 
 fn bench_gls_paths(h: &mut Harness) {
     let mut group = h.benchmark_group("ablation_gls_path");
@@ -123,6 +145,12 @@ fn bench_gls_paths(h: &mut Harness) {
                 b.iter(|| solve_all(&dlg, epochs, &mut ctx))
             });
         }
+        let dlg = Dlg::new();
+        let mut buffers = ExplicitBuffers::default();
+        solve_all_explicit(&dlg, &epochs, &mut buffers);
+        group.bench_with_input(&format!("dlg/explicit-inv/m{m}"), &epochs, |b, epochs| {
+            b.iter(|| solve_all_explicit(&dlg, epochs, &mut buffers))
+        });
     }
     group.finish();
 }

@@ -11,11 +11,9 @@
 //! [`PositionSolver`] path (the `<ALGO>/{m}` ids, unchanged from before
 //! the `Solver` refactor) and through the zero-allocation
 //! [`gps_core::Solver`] + [`SolveContext`] path (`<ALGO>-ctx/{m}`); the
-//! difference is the context's per-epoch saving. NR keeps two lanes, so
-//! its context path is measured twice: pinned to the **heap** buffers
-//! (`NR-ctx/{m}`) and on the default const-generic **stack** kernel lane
-//! (`NR-stk/{m}`). DLO, DLG and Bancroft run one code path at every m,
-//! so they have a single context id.
+//! difference is the context's per-epoch saving. NR's context path keeps
+//! its `NR-stk/{m}` id: at these m it solves every step with the
+//! const-generic stack kernels.
 
 use gps_bench::fixture_epochs;
 use gps_bench::harness::{BenchmarkGroup, Harness, Throughput};
@@ -61,14 +59,6 @@ fn bench_solvers(h: &mut Harness) {
                 }
             })
         });
-        bench_context_path(
-            &mut group,
-            &format!("NR-ctx/{m}"),
-            &nr,
-            &epochs,
-            0.0,
-            SolveContext::new().with_stack_kernels(false),
-        );
         bench_context_path(
             &mut group,
             &format!("NR-stk/{m}"),

@@ -110,12 +110,12 @@ fn dlg_is_allocation_free_when_warm() {
     assert_zero_alloc_after_warmup(&Dlg::default(), 12.0);
 }
 
-/// Probe at m > 16: epochs this large bypass the stack kernels of the
-/// two-lane solvers, so the warm loop exercises their heap path
-/// specifically. (The explicit-inverse DLG lane is excluded: it is the
-/// deliberately allocating faithful-to-the-text ablation reference.)
+/// Probe at the multi-GNSS shapes (m up to 40), with one m = 8 shape
+/// among them: the dense-Ψ DLG keeps its differenced rows and Ψ in the
+/// context at every m, so the warm loop must shrink and regrow those
+/// buffers without allocating.
 fn assert_zero_alloc_large_m(solver: &dyn Solver, label: &str) {
-    let epochs: Vec<_> = [20usize, 40, 28]
+    let epochs: Vec<_> = [20usize, 40, 8, 28]
         .iter()
         .flat_map(|&m| fixture_epochs_multi(m, 97).into_iter().take(3))
         .collect();
@@ -147,8 +147,8 @@ fn dlg_structured_gls_large_m_is_allocation_free_when_warm() {
 
 #[test]
 fn dlg_dense_whitened_large_m_is_allocation_free_when_warm() {
-    // The dense ablation baseline must stay zero-alloc too, so the
-    // θ-vs-m comparison measures the O(m³) factorization, not malloc.
+    // The dense-Ψ path (the paper's DLG) must stay zero-alloc too, so
+    // the θ-vs-m comparison measures the O(m³) factorization, not malloc.
     assert_zero_alloc_large_m(
         &Dlg::default().with_gls_path(GlsPath::DenseWhitened),
         "dense-whitened DLG",

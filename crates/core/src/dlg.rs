@@ -1,7 +1,7 @@
 use gps_geodesy::Ecef;
-use gps_linalg::lstsq::{self, GlsStrategy};
-use gps_linalg::stack::{self, Normal3, Rank1Normal3, SMat};
-use gps_linalg::{Matrix, STACK_M_CAP};
+use gps_linalg::lstsq;
+use gps_linalg::stack::{Normal3, Rank1Normal3};
+use gps_linalg::Matrix;
 
 use crate::dlo::{Differencing, LinearSystem};
 use crate::instrument;
@@ -41,10 +41,12 @@ pub enum CovarianceModel {
 /// Every [`CovarianceModel`] is rank-one-plus-diagonal
 /// (`Ψ = ρ₁²·𝟙𝟙ᵀ + D`; the diagonal-only models just have a zero
 /// rank-one weight), so the structured path applies to all of them. The
-/// three variants are algebraically identical — they differ only in how
+/// two variants are algebraically identical — they differ only in how
 /// much arithmetic they spend per fix (`O(m)` vs `O(m³)`): solutions
 /// agree to ULP-level rounding, and degenerate inputs produce the same
-/// [`SolveError`] variants.
+/// [`SolveError`] variants. (The ablation bench also evaluates eq. 4-21
+/// with an explicit `Ψ⁻¹`, through the public [`crate::linearize`],
+/// [`Dlg::covariance_matrix_into`] and `gps_linalg::lstsq::gls_into`.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum GlsPath {
@@ -55,15 +57,10 @@ pub enum GlsPath {
     /// matrix operations" extension taken to its conclusion.
     #[default]
     Structured,
-    /// Materialize the dense Ψ and whiten through its Cholesky factor
-    /// (`O(m³)`). The pre-structured hot path, kept as the ablation
-    /// baseline.
+    /// Materialize the dense Ψ, factor it, and whiten each differenced
+    /// row through the factor (`O(m³)`) — the paper's DLG as eq. 4-21
+    /// and 4-26 write it, and what Figs 5.1/5.2 run.
     DenseWhitened,
-    /// Materialize Ψ **and** its explicit inverse, evaluating eq. 4-21
-    /// literally. Strictly more work than whitening; the
-    /// faithful-to-the-text ablation reference (allocates per solve, and
-    /// always runs on the heap lane).
-    DenseExplicit,
 }
 
 /// Algorithm **DLG**: Direct Linearization with the General Least Squares
@@ -250,59 +247,36 @@ impl Dlg {
         Ok(acc.finish(psi.rank1)?)
     }
 
-    /// The dense-Ψ ablation paths: the system and Ψ are materialized
-    /// (stack storage under the m-cap, the context's heap buffers above
-    /// it or for [`GlsPath::DenseExplicit`]) and solved by whitening or
-    /// by the explicit inverse.
+    /// The dense-Ψ normal equations of eq. 4-21: one pass forms each
+    /// differenced row `[aᵣ | dᵣ]` and its row of Ψ (eq. 4-26) in the
+    /// context, then `lstsq::gls3_whitened` factors Ψ and whitens each
+    /// row through the factor into the accumulator, with the error
+    /// precedence of the dense `lstsq::gls_into`.
     // lint: no_alloc
-    fn solve_dense(
+    fn dense_normal(
         &self,
         sys: &Differencing<'_>,
         ctx: &mut crate::SolveContext,
-        detail: bool,
-    ) -> Result<[f64; 3], SolveError> {
+    ) -> Result<Normal3, SolveError> {
         // Covariance-assembly time costs more to observe than the fill.
-        let timer = || detail.then(std::time::Instant::now);
-        let record = |start: Option<std::time::Instant>| {
-            if let Some(start) = start {
-                instrument::dlg_cov_assembly().record(start.elapsed().as_secs_f64() * 1e6);
-            }
-        };
+        let start = gps_telemetry::detail().then(std::time::Instant::now);
         let psi = Psi::new(self.covariance, sys.base_range, sys.base_elevation);
         let m1 = sys.len();
-        if crate::solver::stack_lane(ctx, m1 + 1) && self.gls == GlsPath::DenseWhitened {
-            let (a, d) = sys.gather_stack();
-            let start = timer();
-            let mut cov = SMat::<STACK_M_CAP, STACK_M_CAP>::zeroed(m1);
-            for (r, row) in sys.rows().enumerate() {
-                let entries = cov.row_mut(r).iter_mut().take(m1);
-                psi.fill_row(r, psi.diag(row.range, row.elevation), entries);
-            }
-            record(start);
-            return Ok(stack::gls3(&a, &d, &mut cov)?);
-        }
-        sys.gather(&mut ctx.geometry, &mut ctx.rhs);
-        let start = timer();
         ctx.covariance.resize_zeroed(m1, m1);
+        ctx.whitened.clear();
         for (r, row) in sys.rows().enumerate() {
+            let [x, y, z] = row.a;
+            ctx.whitened.push([x, y, z, row.d]);
             let entries = ctx.covariance.row_mut(r).iter_mut();
             psi.fill_row(r, psi.diag(row.range, row.elevation), entries);
         }
-        record(start);
-        let strategy = if self.gls == GlsPath::DenseWhitened {
-            GlsStrategy::Whitened
-        } else {
-            GlsStrategy::ExplicitInverse
-        };
-        lstsq::gls_into(
-            &ctx.geometry,
-            &ctx.rhs,
-            &ctx.covariance,
-            strategy,
-            &mut ctx.lstsq,
-            &mut ctx.step,
-        )?;
-        Ok([ctx.step[0], ctx.step[1], ctx.step[2]])
+        if let Some(start) = start {
+            instrument::dlg_cov_assembly().record(start.elapsed().as_secs_f64() * 1e6);
+        }
+        Ok(lstsq::gls3_whitened(
+            &mut ctx.covariance,
+            &mut ctx.whitened,
+        )?)
     }
 }
 
@@ -393,10 +367,11 @@ fn elevation_weight(elevation: Option<f64>) -> f64 {
 // this module (and in `use super::*` tests) still resolves through
 // `PositionSolver` unambiguously.
 impl crate::Solver for Dlg {
-    /// [`GlsPath::Structured`] is one pass over the differenced rows into
-    /// the Sherman–Morrison normal equations and one residual pass — a
-    /// single code path for every satellite count that never touches the
-    /// context. The dense paths keep their stack and heap lanes.
+    /// Both [`GlsPath`]s accumulate the differenced rows into 3×3 normal
+    /// equations `AᵀΨ⁻¹A x = AᵀΨ⁻¹Dᵉ` and recompute the rows for the
+    /// residual — one code path for every satellite count each. The
+    /// structured path never touches the context; the dense path keeps
+    /// the rows, Ψ and its factor there.
     // lint: no_alloc
     fn solve(
         &self,
@@ -408,30 +383,22 @@ impl crate::Solver for Dlg {
             epoch.predicted_receiver_bias_m,
             self.base,
         )?;
-        let detail = gps_telemetry::detail();
-        let (step, normal) = if self.gls == GlsPath::Structured {
-            let normal = self.structured_normal(&sys)?;
-            (normal.solve_cramer()?, Some(normal))
-        } else {
-            (self.solve_dense(&sys, ctx, detail)?, None)
+        let normal = match self.gls {
+            GlsPath::Structured => self.structured_normal(&sys)?,
+            GlsPath::DenseWhitened => self.dense_normal(&sys, ctx)?,
         };
-        let [x, y, z] = step;
+        let [x, y, z] = normal.solve_cramer()?;
         let position = Ecef::new(x, y, z);
         let rms = sys.residual_rms(position);
         instrument::dlg_solves().inc();
-        if detail {
-            // The dense paths never form the normal matrix; under detail
-            // they rebuild it by the structured pass, so every path
-            // reports the same κ.
-            if let Some(normal) = normal.or_else(|| self.structured_normal(&sys).ok()) {
-                instrument::observe_direct_solve(
-                    instrument::dlg_condition(),
-                    "core.dlg",
-                    &normal,
-                    sys.base_index,
-                    rms,
-                );
-            }
+        if gps_telemetry::detail() {
+            instrument::observe_direct_solve(
+                instrument::dlg_condition(),
+                "core.dlg",
+                &normal,
+                sys.base_index,
+                rms,
+            );
         }
         Ok(Solution::new(position, None, 1, rms))
     }
@@ -651,8 +618,8 @@ mod tests {
         assert_eq!(dlg.covariance_model(), CovarianceModel::Full);
         assert_eq!(dlg.gls_path(), GlsPath::Structured);
         assert_eq!(
-            dlg.with_gls_path(GlsPath::DenseExplicit).gls_path(),
-            GlsPath::DenseExplicit
+            dlg.with_gls_path(GlsPath::DenseWhitened).gls_path(),
+            GlsPath::DenseWhitened
         );
     }
 
@@ -686,17 +653,66 @@ mod tests {
             };
             let structured = fix(GlsPath::Structured);
             let whitened = fix(GlsPath::DenseWhitened);
-            let explicit = fix(GlsPath::DenseExplicit);
+            // Eq. 4-21 literally: the explicit Ψ⁻¹ on linearize's system.
+            let dlg = Dlg::new().with_covariance_model(model);
+            let sys = linearize(&meas, 0.0, dlg.base).unwrap();
+            let x =
+                lstsq::gls_explicit_inverse(&sys.a, &sys.d, &dlg.covariance_matrix(&sys)).unwrap();
+            let explicit = Ecef::new(x[0], x[1], x[2]);
             // Sherman–Morrison is algebraically exact; only association
             // order differs, so agreement is at far-sub-micrometre level.
-            for dense in [&whitened, &explicit] {
+            for dense in [whitened.position, explicit] {
                 assert!(
-                    structured.position.distance_to(dense.position) < 1e-6,
+                    structured.position.distance_to(dense) < 1e-6,
                     "{model:?}: paths diverged by {}",
-                    structured.position.distance_to(dense.position)
+                    structured.position.distance_to(dense)
                 );
             }
             assert!((structured.residual_rms - whitened.residual_rms).abs() < 1e-9);
+        }
+    }
+
+    /// The κ one solve records into `core.dlg.condition_number`. The
+    /// histogram is process-global, so a concurrent test's DLG solve can
+    /// land in the same window; retry until exactly one sample did.
+    fn recorded_kappa(dlg: Dlg, meas: &[Measurement]) -> f64 {
+        let histogram = instrument::dlg_condition();
+        for _ in 0..1_000 {
+            let before = histogram.snapshot("kappa");
+            dlg.solve(meas, 0.0).unwrap();
+            let after = histogram.snapshot("kappa");
+            if after.count == before.count + 1 {
+                return after.sum - before.sum;
+            }
+        }
+        panic!("no quiet window to read the condition number in");
+    }
+
+    #[test]
+    fn dense_and_structured_record_the_same_detail_condition_number() {
+        let truth = Ecef::new(6.371e6, -2.0e5, 3.0e5);
+        let meas: Vec<Measurement> = noisy(truth, 8)
+            .into_iter()
+            .enumerate()
+            .map(|(k, m)| m.with_elevation(0.2 + 0.15 * k as f64))
+            .collect();
+        gps_telemetry::set_detail(true);
+        let kappas: Vec<_> = [CovarianceModel::Full, CovarianceModel::ElevationScaled]
+            .into_iter()
+            .map(|model| {
+                let dlg = Dlg::new().with_covariance_model(model);
+                let structured = recorded_kappa(dlg.with_gls_path(GlsPath::Structured), &meas);
+                let dense = recorded_kappa(dlg.with_gls_path(GlsPath::DenseWhitened), &meas);
+                (model, structured, dense)
+            })
+            .collect();
+        gps_telemetry::set_detail(false);
+        for (model, structured, dense) in kappas {
+            assert!(structured > 1.0, "{model:?}: κ {structured}");
+            assert!(
+                ((structured - dense) / structured).abs() < 1e-9,
+                "{model:?}: structured κ {structured} vs dense κ {dense}"
+            );
         }
     }
 

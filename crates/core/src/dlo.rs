@@ -1,6 +1,6 @@
 use gps_geodesy::Ecef;
-use gps_linalg::stack::{Normal3, SMat, SVec};
-use gps_linalg::{Matrix, Vector, STACK_M_CAP};
+use gps_linalg::stack::Normal3;
+use gps_linalg::{Matrix, Vector};
 
 use crate::instrument;
 use crate::measurement::validate;
@@ -49,8 +49,12 @@ pub fn linearize(
     base: BaseSelection,
 ) -> Result<LinearSystem, SolveError> {
     let diff = Differencing::new(measurements, predicted_receiver_bias_m, base)?;
-    let (mut a, mut d) = (Matrix::default(), Vector::default());
-    diff.gather(&mut a, &mut d);
+    let mut a = Matrix::zeros(diff.len(), 3);
+    let mut d = Vector::zeros(diff.len());
+    for ((r, row), dr) in diff.rows().enumerate().zip(d.as_mut_slice()) {
+        a.row_mut(r).copy_from_slice(&row.a);
+        *dr = row.d;
+    }
     Ok(LinearSystem {
         a,
         d,
@@ -184,29 +188,6 @@ impl<'a> Differencing<'a> {
             sum += (component / scale).powi(2);
         }
         (sum / self.len() as f64).sqrt()
-    }
-
-    /// Materializes the design matrix and right-hand side into heap
-    /// buffers, reusing their capacity.
-    pub(crate) fn gather(&self, a: &mut Matrix, d: &mut Vector) {
-        a.resize_zeroed(self.len(), 3);
-        d.resize_zeroed(self.len());
-        for ((r, row), dr) in self.rows().enumerate().zip(d.as_mut_slice()) {
-            a.row_mut(r).copy_from_slice(&row.a);
-            *dr = row.d;
-        }
-    }
-
-    /// Materializes the design matrix and right-hand side into stack
-    /// storage. Callers guarantee `m ≤ STACK_M_CAP`.
-    pub(crate) fn gather_stack(&self) -> (SMat<STACK_M_CAP, 3>, SVec<STACK_M_CAP>) {
-        let mut a = SMat::zeroed(self.len());
-        let mut d = SVec::zeroed(self.len());
-        for ((r, row), dr) in self.rows().enumerate().zip(d.as_mut_slice()) {
-            *a.row_mut(r) = row.a;
-            *dr = row.d;
-        }
-        (a, d)
     }
 }
 

@@ -5,7 +5,7 @@ use gps_linalg::STACK_M_CAP;
 
 use crate::instrument;
 use crate::measurement::validate;
-use crate::{Solution, SolveError};
+use crate::{Measurement, Solution, SolveError};
 use gps_telemetry::{Event, Level};
 
 /// The classic Newton–Raphson GPS solver (paper §3.4) — the baseline every
@@ -134,28 +134,24 @@ impl NewtonRaphson {
         self.tolerance_m
     }
 
-    /// Stack-kernel fast lane: the same Newton iteration with the
-    /// Jacobian, right-hand side and weights in stack storage and each
-    /// step solved by the const-generic kernels. Bit-identical to the
-    /// heap lane iterate for iterate.
+    /// The Newton iteration of eq. 3-19..3-26 from the configured start,
+    /// each step solved by `kernel`. `measurements` are validated.
     // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let measurements = epoch.measurements;
-        validate(measurements, 4)?;
+    fn iterate<K: StepKernel>(
+        &self,
+        measurements: &[Measurement],
+        predicted_receiver_bias_m: f64,
+        mut kernel: K,
+    ) -> Result<Solution, SolveError> {
         let m = measurements.len();
-
         let mut pos = self.initial_position;
         // A caller-supplied bias prediction is a better initial guess than
         // zero; NR still refines it as an unknown.
-        let mut bias = if epoch.predicted_receiver_bias_m != 0.0 {
-            epoch.predicted_receiver_bias_m
+        let mut bias = if predicted_receiver_bias_m != 0.0 {
+            predicted_receiver_bias_m
         } else {
             self.initial_bias_m
         };
-
-        let mut geometry = SMat::<STACK_M_CAP, 4>::zeroed(m);
-        let mut rhs = SVec::<STACK_M_CAP>::zeroed(m);
-        let mut weights = [0.0_f64; STACK_M_CAP];
 
         for iteration in 1..=self.max_iterations {
             // Build P and the Jacobian at the current iterate (eq. 3-24 and
@@ -173,30 +169,30 @@ impl NewtonRaphson {
                     });
                 }
                 let p_i = range - meas.pseudorange + bias;
-                rhs.as_mut_slice()[i] = -p_i;
-                let row = geometry.row_mut(i);
+                *kernel.rhs_mut(i) = -p_i;
+                let row = kernel.row_mut(i);
                 row[0] = delta.x / range;
                 row[1] = delta.y / range;
                 row[2] = delta.z / range;
                 row[3] = 1.0;
+                if self.weighting == Weighting::SinSquaredElevation {
+                    // Weighted LS is OLS on rows scaled by √wᵢ, formed
+                    // as `lstsq::wls_into` forms them.
+                    let el = meas.elevation;
+                    let s = el.map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3)).sqrt();
+                    for v in row.iter_mut() {
+                        *v *= s;
+                    }
+                    *kernel.rhs_mut(i) *= s;
+                }
             }
 
             // Step 4: solve eq. 3-26 by OLS (exact solve when m = 4), or
             // by weighted LS when elevation weighting is configured.
-            let step = match self.weighting {
-                Weighting::Uniform => stack::ols4(&geometry, &rhs)?,
-                Weighting::SinSquaredElevation => {
-                    for (w, meas) in weights[..m].iter_mut().zip(measurements) {
-                        *w = meas
-                            .elevation
-                            .map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3));
-                    }
-                    stack::wls4(&geometry, &rhs, &weights[..m])?
-                }
-            };
-
-            pos += Ecef::new(step[0], step[1], step[2]);
-            bias += step[3];
+            let step = kernel.solve()?;
+            let [dx, dy, dz, db] = step;
+            pos += Ecef::new(dx, dy, dz);
+            bias += db;
 
             if !pos.is_finite() || !bias.is_finite() {
                 instrument::nr_nonconvergence().inc();
@@ -247,6 +243,56 @@ impl NewtonRaphson {
     }
 }
 
+/// The least-squares step of eq. 3-26: the iteration writes the
+/// Jacobian and right-hand side row by row, then solves by OLS. The two
+/// kernels perform the same floating-point operations in the same order
+/// (pinned by the linalg `stack_parity` suite), so which one ran cannot
+/// be seen in the result.
+trait StepKernel {
+    /// Jacobian row `i` (4 entries), to be written in full.
+    fn row_mut(&mut self, i: usize) -> &mut [f64];
+
+    /// Right-hand side entry `i`, `−Pᵢ`.
+    fn rhs_mut(&mut self, i: usize) -> &mut f64;
+
+    /// Solves for the step `(Δx, Δy, Δz, Δεᴿ)`.
+    fn solve(&mut self) -> gps_linalg::Result<[f64; 4]>;
+}
+
+/// Up to [`STACK_M_CAP`] measurements: stack storage, `stack::ols4`.
+impl StepKernel for (SMat<STACK_M_CAP, 4>, SVec<STACK_M_CAP>) {
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        self.0.row_mut(i)
+    }
+
+    fn rhs_mut(&mut self, i: usize) -> &mut f64 {
+        &mut self.1.as_mut_slice()[i]
+    }
+
+    // lint: no_alloc
+    fn solve(&mut self) -> gps_linalg::Result<[f64; 4]> {
+        stack::ols4(&self.0, &self.1)
+    }
+}
+
+/// Above the cap: the context's heap buffers, `lstsq::ols_into`.
+impl StepKernel for &mut crate::SolveContext {
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        self.geometry.row_mut(i)
+    }
+
+    fn rhs_mut(&mut self, i: usize) -> &mut f64 {
+        &mut self.rhs[i]
+    }
+
+    // lint: no_alloc
+    fn solve(&mut self) -> gps_linalg::Result<[f64; 4]> {
+        lstsq::ols_into(&self.geometry, &self.rhs, &mut self.lstsq, &mut self.step)?;
+        let s = &self.step;
+        Ok([s[0], s[1], s[2], s[3]])
+    }
+}
+
 impl Default for NewtonRaphson {
     /// Paper-faithful defaults: cold start from the Earth's center,
     /// 0.1 mm update tolerance, 30-iteration cap.
@@ -259,124 +305,25 @@ impl Default for NewtonRaphson {
 // this module (and in `use super::*` tests) still resolves through
 // `PositionSolver` unambiguously.
 impl crate::Solver for NewtonRaphson {
+    /// One Newton iteration body for every m; each step is solved by
+    /// the stack kernels up to [`STACK_M_CAP`] measurements and by the
+    /// heap `lstsq` kernels above it.
     // lint: no_alloc
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
         ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        if crate::solver::stack_lane(ctx, epoch.len()) {
-            return self.solve_stack(epoch);
-        }
         let measurements = epoch.measurements;
         validate(measurements, 4)?;
-        let m = measurements.len();
-
-        let mut pos = self.initial_position;
-        // A caller-supplied bias prediction is a better initial guess than
-        // zero; NR still refines it as an unknown.
-        let mut bias = if epoch.predicted_receiver_bias_m != 0.0 {
-            epoch.predicted_receiver_bias_m
+        let (m, bias) = (measurements.len(), epoch.predicted_receiver_bias_m);
+        if m <= STACK_M_CAP {
+            self.iterate(measurements, bias, (SMat::zeroed(m), SVec::zeroed(m)))
         } else {
-            self.initial_bias_m
-        };
-
-        ctx.geometry.resize_zeroed(m, 4);
-        ctx.rhs.resize_zeroed(m);
-
-        for iteration in 1..=self.max_iterations {
-            // Build P and the Jacobian at the current iterate (eq. 3-24 and
-            // 3-20..3-23: ∂Pᵢ/∂x = (xᵉ−xᵢ)/ℜᵢ, ∂Pᵢ/∂εᴿ = 1).
-            for (i, meas) in measurements.iter().enumerate() {
-                let delta = pos - meas.position;
-                let range = delta.norm();
-                if range < 1.0 {
-                    // Iterate collided with a satellite: geometry is
-                    // hopeless from this start.
-                    instrument::nr_nonconvergence().inc();
-                    return Err(SolveError::NonConvergence {
-                        iterations: iteration,
-                        residual: f64::INFINITY,
-                    });
-                }
-                let p_i = range - meas.pseudorange + bias;
-                ctx.rhs[i] = -p_i;
-                let row = ctx.geometry.row_mut(i);
-                row[0] = delta.x / range;
-                row[1] = delta.y / range;
-                row[2] = delta.z / range;
-                row[3] = 1.0;
-            }
-
-            // Step 4: solve eq. 3-26 by OLS (exact solve when m = 4), or
-            // by weighted LS when elevation weighting is configured.
-            match self.weighting {
-                Weighting::Uniform => {
-                    lstsq::ols_into(&ctx.geometry, &ctx.rhs, &mut ctx.lstsq, &mut ctx.step)?;
-                }
-                Weighting::SinSquaredElevation => {
-                    ctx.weights.clear();
-                    ctx.weights.extend(measurements.iter().map(|meas| {
-                        meas.elevation
-                            .map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3))
-                    }));
-                    lstsq::wls_into(
-                        &ctx.geometry,
-                        &ctx.rhs,
-                        &ctx.weights,
-                        &mut ctx.lstsq,
-                        &mut ctx.step,
-                    )?;
-                }
-            }
-
-            pos += Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
-            bias += ctx.step[3];
-
-            if !pos.is_finite() || !bias.is_finite() {
-                instrument::nr_nonconvergence().inc();
-                return Err(SolveError::NonConvergence {
-                    iterations: iteration,
-                    residual: f64::INFINITY,
-                });
-            }
-
-            if ctx.step.norm_inf() < self.tolerance_m {
-                // Converged: report the residual RMS at the accepted
-                // iterate.
-                let mut sum_sq = 0.0;
-                for meas in measurements {
-                    let r = (pos - meas.position).norm() - meas.pseudorange + bias;
-                    sum_sq += r * r;
-                }
-                let residual_rms = (sum_sq / m as f64).sqrt();
-                instrument::nr_solves().inc();
-                instrument::nr_iterations().record(iteration as f64);
-                instrument::nr_residual_rms().record(residual_rms);
-                return Ok(Solution::new(pos, Some(bias), iteration, residual_rms));
-            }
+            ctx.geometry.resize_zeroed(m, 4);
+            ctx.rhs.resize_zeroed(m);
+            self.iterate(measurements, bias, ctx)
         }
-
-        let residual = measurements
-            .iter()
-            .map(|meas| {
-                let r = (pos - meas.position).norm() - meas.pseudorange + bias;
-                r * r
-            })
-            .sum::<f64>()
-            .sqrt();
-        instrument::nr_nonconvergence().inc();
-        if gps_telemetry::enabled(Level::Warn) {
-            Event::new(Level::Warn, "core.nr", "did not converge")
-                .with("iterations", self.max_iterations)
-                .with("residual_m", residual)
-                .with("satellites", m)
-                .emit();
-        }
-        Err(SolveError::NonConvergence {
-            iterations: self.max_iterations,
-            residual,
-        })
     }
 
     fn name(&self) -> &'static str {
@@ -403,7 +350,7 @@ impl crate::Solver for NewtonRaphson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Measurement, PositionSolver};
+    use crate::PositionSolver;
 
     fn sats() -> Vec<Ecef> {
         vec![

@@ -104,28 +104,25 @@ pub(crate) struct RaimScratch {
 ///   first epoch pays the allocations once ("warm-up").
 #[derive(Debug, Clone, Default)]
 pub struct SolveContext {
-    /// Design matrix: NR Jacobian (m×4), dense-Ψ DLG differenced geometry
-    /// ((m−1)×3). DLO, structured DLG and Bancroft accumulate their normal
-    /// equations row by row and store no design matrix at all.
+    /// Design matrix: NR Jacobian (m×4) above the stack-kernel cap. DLO,
+    /// structured DLG and Bancroft accumulate their normal equations row
+    /// by row and store no design matrix at all.
     pub(crate) geometry: Matrix,
-    /// Right-hand side (NR `−P`, dense-Ψ DLG `Dᵉ`).
+    /// Right-hand side (NR `−P`, above the stack-kernel cap).
     pub(crate) rhs: Vector,
-    /// Least-squares solution buffer (NR, dense-Ψ DLG).
+    /// Least-squares solution buffer (NR, above the stack-kernel cap).
     pub(crate) step: Vector,
-    /// Per-measurement weights (NR elevation weighting).
-    pub(crate) weights: Vec<f64>,
-    /// DLG covariance `Ψ` (eq. 4-26), factored in place by GLS
-    /// (dense ablation lanes only — the structured default never builds it).
+    /// DLG covariance `Ψ` (eq. 4-26), factored in place (dense-Ψ path
+    /// only — the structured default never builds it).
     pub(crate) covariance: Matrix,
-    /// Normal equations / whitening scratch for `gps_linalg::lstsq`.
+    /// Dense-Ψ DLG's differenced rows `[A | Dᵉ]`, one `[x, y, z, d]` per
+    /// equation, whitened in place to `L⁻¹[A | Dᵉ]` by the solve.
+    pub(crate) whitened: Vec<[f64; 4]>,
+    /// Normal-equation scratch for `gps_linalg::lstsq::ols_into` (NR above
+    /// the stack-kernel cap).
     pub(crate) lstsq: LstsqScratch,
     /// RAIM fault-exclusion workspaces.
     pub(crate) raim: RaimScratch,
-    /// When set, NR and dense-Ψ DLG take the heap lane even under the
-    /// stack kernels' m-cap. Default unset: the stack lane is on (the two
-    /// lanes are bit-identical, so this is purely a performance and
-    /// measurement knob).
-    heap_only: bool,
 }
 
 impl SolveContext {
@@ -134,44 +131,6 @@ impl SolveContext {
     pub fn new() -> Self {
         SolveContext::default()
     }
-
-    /// Whether the stack-kernel fast lane is enabled (default: yes).
-    ///
-    /// Only the two solvers that keep two lanes read it: NR (its
-    /// Jacobian is rebuilt every iteration) and DLG on the dense-Ψ
-    /// [`crate::GlsPath`]s. With the lane enabled they route epochs of at
-    /// most [`gps_linalg::STACK_M_CAP`] measurements through the
-    /// const-generic stack kernels of [`gps_linalg::stack`] — no heap
-    /// traffic at all, not even warm-up — and fall back to the heap
-    /// scratch buffers above the cap. Results are bit-for-bit identical
-    /// either way; disabling the lane exists for benchmarks that measure
-    /// the heap path and for parity tests. DLO, structured DLG and
-    /// Bancroft have one code path for every m and ignore the setting.
-    #[must_use]
-    pub fn stack_kernels(&self) -> bool {
-        !self.heap_only
-    }
-
-    /// Enables or disables the stack-kernel fast lane.
-    pub fn set_stack_kernels(&mut self, enabled: bool) {
-        self.heap_only = !enabled;
-    }
-
-    /// Builder-style [`SolveContext::set_stack_kernels`].
-    #[must_use]
-    pub fn with_stack_kernels(mut self, enabled: bool) -> Self {
-        self.set_stack_kernels(enabled);
-        self
-    }
-}
-
-/// Lane dispatch for the two-lane solvers (NR and dense-Ψ DLG): the
-/// stack fast lane runs when the context allows it and the epoch fits
-/// under the [`gps_linalg::STACK_M_CAP`] cap. Detail telemetry does not
-/// move a solve between lanes: every detail observation reads values
-/// both lanes produce.
-pub(crate) fn stack_lane(ctx: &SolveContext, m: usize) -> bool {
-    ctx.stack_kernels() && m <= gps_linalg::STACK_M_CAP
 }
 
 /// Common hot-path interface over the positioning algorithms.

@@ -2,10 +2,7 @@
 //! produce outcomes bit-for-bit identical to a serial sweep of the same
 //! stream.
 
-use gps_core::{
-    Bancroft, Dlg, Dlo, Epoch, EpochJob, Measurement, NewtonRaphson, ParallelEngine, SolveContext,
-    Solver,
-};
+use gps_core::{Epoch, EpochJob, Measurement, ParallelEngine, SolveContext, Solver};
 use gps_geodesy::Geodetic;
 use gps_pool::ThreadPool;
 use gps_rng::rngs::StdRng;
@@ -89,33 +86,6 @@ fn shared_run_is_bit_identical_to_serial() {
             assert_eq!(stats.epochs, serial.len() as u64, "lane {lane} epochs");
             assert_eq!(stats.solved, solved, "lane {lane} solved");
             assert_eq!(stats.failed, stats.epochs - solved, "lane {lane} failed");
-        }
-    }
-}
-
-#[test]
-fn shared_run_with_heap_only_lanes_matches_stack_lanes() {
-    // The lane choice must not change results: compare a stack-lane
-    // parallel run against a heap-lane serial sweep.
-    let stream = Arc::new(mixed_stream(22));
-    let engine = ParallelEngine::new()
-        .with_solver(Box::new(Dlo::default()))
-        .with_solver(Box::new(Dlg::default()))
-        .with_solver(Box::new(NewtonRaphson::default()))
-        .with_solver(Box::new(Bancroft));
-    let pool = ThreadPool::new(2);
-    let shared = engine.run_shared(&pool, Arc::clone(&stream));
-
-    let mut heap_ctxs: Vec<SolveContext> = engine
-        .solvers()
-        .iter()
-        .map(|_| SolveContext::new().with_stack_kernels(false))
-        .collect();
-    for (i, job) in stream.iter().enumerate() {
-        let epoch = Epoch::new(&job.measurements, job.predicted_receiver_bias_m);
-        for (lane, solver) in engine.solvers().iter().enumerate() {
-            let heap = solver.solve(&epoch, &mut heap_ctxs[lane]);
-            assert_eq!(shared.outcomes[i][lane], heap, "epoch {i} lane {lane}");
         }
     }
 }

@@ -1,8 +1,10 @@
-//! The two-lane solver contract: for every solver and every epoch shape
-//! under [`gps_linalg::STACK_M_CAP`], the const-generic stack lane must
-//! be **bit-for-bit** identical to the heap lane — same solutions to the
-//! last ULP, same errors on the same inputs. Above the cap both lanes
-//! are the heap path and must agree trivially.
+//! The context contract: a [`SolveContext`] that has served every epoch
+//! shape before — larger and smaller, other solvers, failed solves —
+//! must give **bit-for-bit** the answer of a fresh context, for every
+//! solver and every m from 4 to 40. Same solutions to the last ULP, same
+//! errors on the same inputs. NR (whose step kernel changes at
+//! [`gps_linalg::STACK_M_CAP`]) and the dense-Ψ DLG keep buffers in the
+//! context, so a stale entry would show here.
 //!
 //! Seeded xoshiro256++ loops (no proptest in the offline build).
 
@@ -47,9 +49,9 @@ fn random_epoch(rng: &mut StdRng, m: usize, bias: f64) -> Vec<Measurement> {
 }
 
 /// Bit-level equality: `PartialEq` on f64 would accept `-0.0 == 0.0`
-/// and reject `NaN == NaN`; the lane contract is stronger than both.
-fn assert_bits_eq(stack: &Result<Solution, SolveError>, heap: &Result<Solution, SolveError>) {
-    match (stack, heap) {
+/// and reject `NaN == NaN`; the context contract is stronger than both.
+fn assert_bits_eq(warm: &Result<Solution, SolveError>, fresh: &Result<Solution, SolveError>) {
+    match (warm, fresh) {
         (Ok(s), Ok(h)) => {
             assert_eq!(s.position.x.to_bits(), h.position.x.to_bits());
             assert_eq!(s.position.y.to_bits(), h.position.y.to_bits());
@@ -62,7 +64,7 @@ fn assert_bits_eq(stack: &Result<Solution, SolveError>, heap: &Result<Solution, 
             assert_eq!(s.residual_rms.to_bits(), h.residual_rms.to_bits());
         }
         (Err(s), Err(h)) => assert_eq!(s, h),
-        (s, h) => panic!("lane divergence: stack {s:?} vs heap {h:?}"),
+        (w, f) => panic!("context history changed the outcome: warm {w:?} vs fresh {f:?}"),
     }
 }
 
@@ -70,63 +72,64 @@ fn solvers() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(NewtonRaphson::default()),
         Box::new(Dlo::default()),
-        // Dlg::default() is the structured Sherman–Morrison lane; the two
-        // dense GLS paths and the non-default covariance shapes are
-        // contract-bound too (DenseExplicit has no stack mirror, so for
-        // it the toggle must be a no-op on every shape).
+        // Dlg::default() is the structured Sherman–Morrison path; the
+        // dense-Ψ path and the non-default covariance shapes are
+        // contract-bound too.
         Box::new(Dlg::default()),
         Box::new(Dlg::default().with_gls_path(GlsPath::DenseWhitened)),
-        Box::new(Dlg::default().with_gls_path(GlsPath::DenseExplicit)),
         Box::new(Dlg::default().with_covariance_model(CovarianceModel::DiagonalOnly)),
         Box::new(Dlg::default().with_covariance_model(CovarianceModel::ElevationScaled)),
         Box::new(Bancroft),
     ]
 }
 
+/// Solves `epoch` on the shared warm context and on a fresh one.
+fn assert_warm_matches_fresh(solver: &dyn Solver, epoch: &Epoch<'_>, warm: &mut SolveContext) {
+    let reused = solver.solve(epoch, warm);
+    let fresh = solver.solve(epoch, &mut SolveContext::new());
+    assert_bits_eq(&reused, &fresh);
+}
+
 #[test]
-fn stack_lane_is_bit_identical_to_heap_lane() {
-    // m sweeps through the whole stack window and one shape above the
-    // cap (both lanes = heap there; the toggle must still be a no-op).
-    let shapes = [4usize, 5, 6, 8, 12, gps_linalg::STACK_M_CAP, 17];
+fn warm_context_is_bit_identical_to_fresh_context() {
+    // Shrink after the largest shapes, cross the NR kernel cap both
+    // ways, and end on the multi-GNSS sizes.
+    let cap = gps_linalg::STACK_M_CAP;
+    let shapes = [40usize, 4, 5, 6, 8, 12, cap, cap + 1, 8, 24, 40];
+    let mut warm = SolveContext::new();
     for solver in solvers() {
         let mut rng = StdRng::seed_from_u64(0x57AC_0001);
-        let mut stack_ctx = SolveContext::new();
-        let mut heap_ctx = SolveContext::new().with_stack_kernels(false);
         for &m in &shapes {
             for _ in 0..CASES {
                 let bias = rng.gen_range(-1000.0..1000.0);
                 let predicted = rng.gen_range(-5.0..5.0) + bias;
                 let meas = random_epoch(&mut rng, m, bias);
-                let epoch = Epoch::new(&meas, predicted);
-                let stack = solver.solve(&epoch, &mut stack_ctx);
-                let heap = solver.solve(&epoch, &mut heap_ctx);
-                assert_bits_eq(&stack, &heap);
+                assert_warm_matches_fresh(
+                    solver.as_ref(),
+                    &Epoch::new(&meas, predicted),
+                    &mut warm,
+                );
             }
         }
     }
 }
 
 #[test]
-fn lanes_agree_on_degenerate_and_nonfinite_input() {
+fn warm_context_agrees_on_degenerate_and_nonfinite_input() {
+    let mut warm = SolveContext::new();
     for solver in solvers() {
-        let mut stack_ctx = SolveContext::new();
-        let mut heap_ctx = SolveContext::new().with_stack_kernels(false);
+        let mut rng = StdRng::seed_from_u64(0x57AC_0002);
+        let big = random_epoch(&mut rng, 40, 0.0);
+        assert_warm_matches_fresh(solver.as_ref(), &Epoch::new(&big, 0.0), &mut warm);
 
         // Too few satellites.
-        let mut rng = StdRng::seed_from_u64(0x57AC_0002);
         let short = random_epoch(&mut rng, 3, 0.0);
-        assert_bits_eq(
-            &solver.solve(&Epoch::new(&short, 0.0), &mut stack_ctx),
-            &solver.solve(&Epoch::new(&short, 0.0), &mut heap_ctx),
-        );
+        assert_warm_matches_fresh(solver.as_ref(), &Epoch::new(&short, 0.0), &mut warm);
 
         // A NaN pseudorange.
         let mut poisoned = random_epoch(&mut rng, 6, 0.0);
         poisoned[2].pseudorange = f64::NAN;
-        assert_bits_eq(
-            &solver.solve(&Epoch::new(&poisoned, 0.0), &mut stack_ctx),
-            &solver.solve(&Epoch::new(&poisoned, 0.0), &mut heap_ctx),
-        );
+        assert_warm_matches_fresh(solver.as_ref(), &Epoch::new(&poisoned, 0.0), &mut warm);
 
         // All satellites collapsed to one point (singular geometry).
         let receiver = random_receiver(&mut rng);
@@ -134,9 +137,6 @@ fn lanes_agree_on_degenerate_and_nonfinite_input() {
         let collapsed: Vec<Measurement> = (0..6)
             .map(|_| Measurement::new(sat, sat.distance_to(receiver)))
             .collect();
-        assert_bits_eq(
-            &solver.solve(&Epoch::new(&collapsed, 0.0), &mut stack_ctx),
-            &solver.solve(&Epoch::new(&collapsed, 0.0), &mut heap_ctx),
-        );
+        assert_warm_matches_fresh(solver.as_ref(), &Epoch::new(&collapsed, 0.0), &mut warm);
     }
 }

@@ -415,6 +415,71 @@ pub fn gls_into(
     }
 }
 
+/// Dense general least squares for **three unknowns**, one row at a
+/// time: factors `cov = LLᵀ` in place, then whitens each row `[aᵢ | bᵢ]`
+/// of `rows` in place through `L` and pushes it straight into a
+/// [`Normal3`], ready for [`Normal3::solve_cramer`].
+///
+/// Whitening row `i` is the forward substitution `L⁻¹[A | b]` restricted
+/// to that row, so it reads the rows whitened before it. The checks, the
+/// factor, the per-entry substitution order and the accumulation order
+/// are those of [`gls_into`] with [`GlsStrategy::Whitened`] on a
+/// three-column `A`, so on identical inputs both return bit-identical
+/// solutions and identical errors — with no copy of `A` or `b`.
+///
+/// # Errors
+///
+/// As [`gls_into`]: [`LinalgError::EmptyDimension`] /
+/// [`LinalgError::Underdetermined`] for fewer than 3 rows,
+/// [`LinalgError::NonFinite`] for a NaN/∞ row,
+/// [`LinalgError::ShapeMismatch`] unless `cov` is `rows.len()` square,
+/// the conditions of [`Cholesky::factor_in_place`] on `cov`, and
+/// [`LinalgError::NonFinite`] if whitening overflowed.
+// lint: no_alloc
+pub fn gls3_whitened(cov: &mut Matrix, rows: &mut [[f64; 4]]) -> crate::Result<Normal3> {
+    let m = rows.len();
+    if m == 0 {
+        return Err(LinalgError::EmptyDimension);
+    }
+    if m < 3 {
+        return Err(LinalgError::Underdetermined { rows: m, cols: 3 });
+    }
+    if !rows.iter().flatten().all(|v| v.is_finite()) {
+        return Err(LinalgError::NonFinite);
+    }
+    if cov.shape() != (m, m) {
+        return Err(LinalgError::ShapeMismatch {
+            left: (m, 3),
+            right: cov.shape(),
+            op: "gls covariance",
+        });
+    }
+    Cholesky::factor_in_place(cov)?;
+    let mut normal = Normal3::default();
+    let mut finite = true;
+    for i in 0..m {
+        let (done, rest) = rows.split_at_mut(i);
+        let (lower, diag) = cov.row(i).split_at(i);
+        let Some(w) = rest.first_mut() else { break };
+        for (&lij, prev) in lower.iter().zip(done.iter()) {
+            for (wc, &p) in w.iter_mut().zip(prev) {
+                *wc -= lij * p;
+            }
+        }
+        let d = diag.first().copied().unwrap_or(f64::NAN);
+        for wc in w.iter_mut() {
+            *wc /= d;
+        }
+        finite &= w.iter().all(|v| v.is_finite());
+        let [x, y, z, b] = *w;
+        normal.add_row([x, y, z], b);
+    }
+    if !finite {
+        return Err(LinalgError::NonFinite);
+    }
+    Ok(normal)
+}
+
 /// General least squares computed exactly as the paper's eq. 4-21 writes
 /// it: `x = (AᵀM⁻¹A)⁻¹ AᵀM⁻¹ b` with an explicit `M⁻¹`.
 ///

@@ -10,39 +10,37 @@
 //!   scalar accumulators, fed one row at a time (plain OLS, and GLS under
 //!   a rank-one-plus-diagonal covariance via Sherman–Morrison). DLO and
 //!   the structured DLG form each differenced row on the fly and push it
-//!   straight in, so they store no design matrix and run one code path
+//!   straight in (the structured DLG with its Ψ diagonal entry), storing
+//!   no design matrix; the dense-Ψ DLG whitens each stored row through
+//!   Ψ's factor first (`lstsq::gls3_whitened`). Each runs one code path
 //!   for every satellite count; `lstsq::ols3` and `lstsq::gls_rank1_into`
 //!   share the same accumulators.
 //! * [`cholesky_factor`], [`cholesky_forward`], [`cholesky_back`] — the
 //!   in-place factor and substitutions; Bancroft factors its 4×4 Gram
 //!   with them once for both right-hand sides.
-//! * [`SMat<M, N>`] / [`SVec<N>`] with [`ols3`] / [`ols4`] / [`wls4`] /
-//!   [`gls3`] — fixed-capacity storage and least-squares kernels for the
-//!   two solvers that still keep a stack lane beside their heap lane:
-//!   Newton–Raphson (its Jacobian is rebuilt every iteration) and DLG's
-//!   dense-Ψ ablation paths. `M`/`N` are **capacities**; the active row
-//!   count is a runtime field, capped at [`STACK_M_CAP`].
+//! * [`SMat<M, N>`] / [`SVec<N>`] with [`ols4`] — fixed-capacity storage
+//!   and the 4-unknown least-squares step of Newton–Raphson, the one
+//!   solver that still keeps two kernels: its Jacobian is rebuilt every
+//!   iteration, and at `m ≤` [`STACK_M_CAP`] it solves each step here
+//!   instead of through `lstsq::ols_into`. `M`/`N` are **capacities**;
+//!   the active row count is a runtime field.
 //!
 //! # Bit-for-bit parity with the heap path
 //!
 //! Every kernel here performs **the same floating-point operations in the
 //! same order** as its heap counterpart in [`crate::lstsq`] /
-//! [`crate::Cholesky`] ([`ols3`] and `lstsq::ols3` share [`Normal3`],
-//! [`ols4`] mirrors `ols_into`'s gram + Cholesky chain, [`wls4`] mirrors
-//! `wls_into`, [`gls3`] mirrors `gls_into` with
-//! [`crate::lstsq::GlsStrategy::Whitened`]). IEEE-754 arithmetic is
-//! deterministic, so on identical inputs the stack and heap lanes return
-//! bit-identical results and identical errors — a property pinned by the
-//! `stack_parity` test suite and relied on by `gps-core`'s two-lane
-//! solvers (stack lane under the m-cap, heap lane above it, callers
-//! can't tell which one ran).
+//! [`crate::Cholesky`] ([`ols4`] mirrors `ols_into`'s gram + Cholesky
+//! chain). IEEE-754 arithmetic is
+//! deterministic, so on identical inputs the two return bit-identical
+//! results and identical errors — a property pinned by the
+//! `stack_parity` test suite, which is what makes NR's choice of kernel
+//! by `m` invisible to its callers.
 
 use crate::LinalgError;
 
-/// Maximum row count (satellites) the [`SMat`] kernels accept. NR and
-/// dense-Ψ DLG epochs with more measurements take the heap lane; the cap
-/// is sized so a full [`SMat<STACK_M_CAP, 4>`] plus the dense DLG
-/// covariance stay comfortably within a couple of KiB of stack.
+/// Largest satellite count NR solves its steps with the [`SMat`]
+/// kernels; above it NR uses the heap `lstsq` kernels. A full
+/// [`SMat<STACK_M_CAP, 4>`] Jacobian is half a KiB of stack.
 pub const STACK_M_CAP: usize = 16;
 
 /// Fixed-capacity row-major matrix: `M` rows × `N` columns of storage,
@@ -50,7 +48,7 @@ pub const STACK_M_CAP: usize = 16;
 /// active (the hot shapes have exactly 3 or 4 columns, so the column
 /// capacity *is* the column count).
 ///
-/// `Copy`: ≤ `16 × 16 × 8` bytes at the largest instantiation used by the
+/// `Copy`: ≤ `16 × 4 × 8` bytes at the largest instantiation used by the
 /// solvers, cheap to pass by value and trivially reusable without any
 /// warm-up allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,8 +62,8 @@ impl<const M: usize, const N: usize> SMat<M, N> {
     ///
     /// # Panics
     ///
-    /// Panics if `rows > M` (capacity overflow is a caller bug; the
-    /// solvers gate on [`STACK_M_CAP`] before building one).
+    /// Panics if `rows > M` (capacity overflow is a caller bug; NR
+    /// gates on [`STACK_M_CAP`] before building one).
     #[must_use]
     pub fn zeroed(rows: usize) -> Self {
         assert!(rows <= M, "SMat: {rows} rows exceed capacity {M}");
@@ -160,39 +158,6 @@ impl<const N: usize> SVec<N> {
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data[..self.len]
     }
-}
-
-/// Mirror of `lstsq::check_system` on the stack types: same checks, same
-/// order, same error values, so the two lanes reject identical inputs
-/// identically.
-fn check_kernel<const M: usize, const N: usize>(
-    a: &SMat<M, N>,
-    b: &SVec<M>,
-    op: &'static str,
-) -> crate::Result<()> {
-    let (m, n) = (a.rows, N);
-    if m == 0 || n == 0 {
-        return Err(LinalgError::EmptyDimension);
-    }
-    if m < n {
-        return Err(LinalgError::Underdetermined { rows: m, cols: n });
-    }
-    if b.len != m {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, n),
-            right: (b.len, 1),
-            op,
-        });
-    }
-    let finite_a = a
-        .active_rows()
-        .iter()
-        .all(|row| row.iter().all(|v| v.is_finite()));
-    let finite_b = b.as_slice().iter().all(|v| v.is_finite());
-    if !finite_a || !finite_b {
-        return Err(LinalgError::NonFinite);
-    }
-    Ok(())
 }
 
 /// Three-unknown normal equations `G x = c` (`G = AᵀWA`, `c = AᵀWb`)
@@ -384,7 +349,7 @@ impl Rank1Normal3 {
         n.c1 -= gamma * s * u1;
         n.c2 -= gamma * s * u2;
         // On the dense path an accumulation overflow surfaces as
-        // NonFinite (ols3 re-checks the whitened system); keep that.
+        // NonFinite (the whitened rows are checked); keep that.
         if !n.is_finite() {
             return Err(LinalgError::NonFinite);
         }
@@ -392,29 +357,37 @@ impl Rank1Normal3 {
     }
 }
 
-/// Stack mirror of [`crate::lstsq::ols3`]: 3-unknown OLS through
-/// [`Normal3`]. Bit-identical results and errors on identical inputs.
+/// Stack mirror of [`crate::lstsq::ols_into`] for the 4-unknown shape
+/// (the NR Jacobian): `lstsq::check_system`'s checks in its order, then
+/// the 4×4 normal equations (lower triangle) and `Aᵀb`, factored and
+/// substituted by the stack Cholesky kernels — the exact operation
+/// sequence of the heap path at `n = 4`. Bit-identical results and
+/// errors on identical inputs.
 ///
 /// # Errors
 ///
-/// Same conditions as [`crate::lstsq::ols3`] ([`LinalgError::Singular`]
-/// for rank-deficient geometry).
+/// Same conditions as [`crate::lstsq::ols`]
+/// ([`LinalgError::NotPositiveDefinite`] for rank-deficient geometry).
 // lint: no_alloc
-pub fn ols3<const M: usize>(a: &SMat<M, 3>, b: &SVec<M>) -> crate::Result<[f64; 3]> {
-    check_kernel(a, b, "ols3")?;
-    let mut normal = Normal3::default();
-    for (&row, &w) in a.active_rows().iter().zip(b.as_slice()) {
-        normal.add_row(row, w);
+pub fn ols4<const M: usize>(a: &SMat<M, 4>, b: &SVec<M>) -> crate::Result<[f64; 4]> {
+    let m = a.rows;
+    if m == 0 {
+        return Err(LinalgError::EmptyDimension);
     }
-    normal.solve_cramer()
-}
-
-/// Stack mirror of `lstsq::ols_core` for 4 unknowns: forms the 4×4 normal
-/// equations (lower triangle) and `Aᵀb`, then factors and substitutes via
-/// the stack Cholesky kernels — the exact operation sequence of the heap
-/// `ols_into` path at `n = 4`.
-// lint: no_alloc
-fn ols4_core<const M: usize>(a: &SMat<M, 4>, b: &SVec<M>) -> crate::Result<[f64; 4]> {
+    if m < 4 {
+        return Err(LinalgError::Underdetermined { rows: m, cols: 4 });
+    }
+    if b.len != m {
+        return Err(LinalgError::ShapeMismatch {
+            left: (m, 4),
+            right: (b.len, 1),
+            op: "ols",
+        });
+    }
+    let finite = |v: &f64| v.is_finite();
+    if !a.active_rows().iter().flatten().all(finite) || !b.as_slice().iter().all(finite) {
+        return Err(LinalgError::NonFinite);
+    }
     let mut gram = SMat::<4, 4>::zeroed(4);
     let mut x = [0.0f64; 4];
     for (row, &bv) in a.active_rows().iter().zip(b.as_slice()) {
@@ -431,98 +404,6 @@ fn ols4_core<const M: usize>(a: &SMat<M, 4>, b: &SVec<M>) -> crate::Result<[f64;
     cholesky_forward(&gram, &mut x);
     cholesky_back(&gram, &mut x);
     Ok(x)
-}
-
-/// Stack mirror of [`crate::lstsq::ols_into`] for the 4-unknown shape
-/// (NR Jacobian and Bancroft `B`). Bit-identical results and errors on
-/// identical inputs.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::lstsq::ols`]
-/// ([`LinalgError::NotPositiveDefinite`] for rank-deficient geometry).
-// lint: no_alloc
-pub fn ols4<const M: usize>(a: &SMat<M, 4>, b: &SVec<M>) -> crate::Result<[f64; 4]> {
-    check_kernel(a, b, "ols")?;
-    ols4_core(a, b)
-}
-
-/// Stack mirror of [`crate::lstsq::wls_into`] for the 4-unknown shape:
-/// scales each row of `A` and entry of `b` by `√wᵢ`, then runs the OLS
-/// core. Bit-identical results and errors on identical inputs.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::lstsq::wls`]: non-positive or non-finite
-/// weights surface as [`LinalgError::NotPositiveDefinite`] (pivot 0), a
-/// weight-count mismatch as [`LinalgError::ShapeMismatch`].
-// lint: no_alloc
-pub fn wls4<const M: usize>(
-    a: &SMat<M, 4>,
-    b: &SVec<M>,
-    weights: &[f64],
-) -> crate::Result<[f64; 4]> {
-    check_kernel(a, b, "wls")?;
-    let m = a.rows;
-    if weights.len() != m {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, 4),
-            right: (weights.len(), 1),
-            op: "wls weights",
-        });
-    }
-    if weights.iter().any(|&w| w <= 0.0 || !w.is_finite()) {
-        return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
-    }
-    // Scale each row of A and entry of b by sqrt(w), then run OLS.
-    let mut scaled_a = SMat::<M, 4>::zeroed(m);
-    let mut scaled_b = SVec::<M>::zeroed(m);
-    for (r, &w) in weights.iter().enumerate() {
-        let s = w.sqrt();
-        let (src, dst) = (&a.data[r], &mut scaled_a.data[r]);
-        for c in 0..4 {
-            dst[c] = src[c] * s;
-        }
-        scaled_b.data[r] = b.data[r] * s;
-    }
-    ols4_core(&scaled_a, &scaled_b)
-}
-
-/// Stack mirror of [`crate::lstsq::gls_into`] with the whitening strategy
-/// for the 3-unknown shape (DLG): factors the covariance in place,
-/// half-solves `A` and `b` through the factor, and runs [`ols3`] on the
-/// whitened system. Bit-identical results and errors on identical inputs.
-///
-/// `cov` must carry `a.rows()` active rows; it is overwritten with its
-/// Cholesky factor (the same in-place consumption as the heap scratch).
-///
-/// # Errors
-///
-/// Same conditions as [`crate::lstsq::gls`]
-/// ([`LinalgError::NotPositiveDefinite`] when `cov` is not SPD).
-// lint: no_alloc
-pub fn gls3<const M: usize, const C: usize>(
-    a: &SMat<M, 3>,
-    b: &SVec<M>,
-    cov: &mut SMat<C, C>,
-) -> crate::Result<[f64; 3]> {
-    check_kernel(a, b, "gls")?;
-    let m = a.rows;
-    if cov.rows != m {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, 3),
-            right: (cov.rows, cov.rows),
-            op: "gls covariance",
-        });
-    }
-    cholesky_factor(cov)?;
-    let mut whitened_a = *a;
-    cholesky_forward_columns(cov, &mut whitened_a);
-    let mut whitened_b = *b;
-    cholesky_forward(cov, whitened_b.as_mut_slice());
-    // The heap path re-runs ols3's input checks on the whitened system
-    // (overflow during whitening surfaces as NonFinite there); keep that.
-    ols3(&whitened_a, &whitened_b)
 }
 
 /// Stack mirror of [`crate::Cholesky::factor_in_place`] over the active
@@ -610,36 +491,11 @@ pub fn cholesky_back<const N: usize>(l: &SMat<N, N>, x: &mut [f64]) {
     }
 }
 
-/// Stack mirror of [`crate::Cholesky::forward_substitute_matrix`]: the
-/// whitening transform `X ← L⁻¹X` across every column of `x`. The caller
-/// guarantees `x.rows() == l.rows()` (debug-checked).
-// lint: no_alloc
-pub fn cholesky_forward_columns<const C: usize, const M: usize, const N: usize>(
-    l: &SMat<C, C>,
-    x: &mut SMat<M, N>,
-) {
-    let n = l.rows;
-    debug_assert!(x.rows == n, "cholesky_forward_columns: row mismatch");
-    for i in 0..n {
-        for j in 0..i {
-            let lij = l.data[i][j];
-            for c in 0..N {
-                let v = x.data[j][c];
-                x.data[i][c] -= lij * v;
-            }
-        }
-        let d = l.data[i][i];
-        for c in 0..N {
-            x.data[i][c] /= d;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn smat3(rows: &[[f64; 3]]) -> SMat<STACK_M_CAP, 3> {
+    fn smat4(rows: &[[f64; 4]]) -> SMat<STACK_M_CAP, 4> {
         let mut a = SMat::zeroed(rows.len());
         for (r, row) in rows.iter().enumerate() {
             a.row_mut(r).copy_from_slice(row);
@@ -671,26 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn ols3_solves_exact_system() {
-        // x = (1, -2, 3) through an overdetermined consistent system.
-        let rows = [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [1.0, 1.0, 1.0],
-        ];
-        let truth = [1.0, -2.0, 3.0];
-        let b: Vec<f64> = rows
-            .iter()
-            .map(|r| r[0] * truth[0] + r[1] * truth[1] + r[2] * truth[2])
-            .collect();
-        let x = ols3(&smat3(&rows), &svec(&b)).unwrap();
-        for (got, want) in x.iter().zip(truth) {
-            assert!((got - want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn ols4_solves_exact_system() {
         let mut a = SMat::<STACK_M_CAP, 4>::zeroed(5);
         let truth = [2.0, -1.0, 0.5, 4.0];
@@ -715,67 +551,36 @@ mod tests {
     #[test]
     fn error_paths_match_heap_semantics() {
         // Underdetermined.
-        let a = smat3(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]);
-        let b = svec(&[1.0, 2.0]);
+        let a = smat4(&[[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]]);
         assert_eq!(
-            ols3(&a, &b).unwrap_err(),
-            LinalgError::Underdetermined { rows: 2, cols: 3 }
+            ols4(&a, &svec(&[1.0, 2.0])).unwrap_err(),
+            LinalgError::Underdetermined { rows: 2, cols: 4 }
         );
         // Length mismatch.
-        let a = smat3(&[[1.0; 3]; 4]);
+        let a = smat4(&[[1.0; 4]; 4]);
         assert!(matches!(
-            ols3(&a, &svec(&[1.0; 3])).unwrap_err(),
+            ols4(&a, &svec(&[1.0; 3])).unwrap_err(),
             LinalgError::ShapeMismatch { .. }
         ));
         // Non-finite.
-        let mut a = smat3(&[[1.0; 3]; 4]);
+        let mut a = smat4(&[[1.0; 4]; 4]);
         a.row_mut(2)[1] = f64::NAN;
         assert_eq!(
-            ols3(&a, &svec(&[1.0; 4])).unwrap_err(),
+            ols4(&a, &svec(&[1.0; 4])).unwrap_err(),
             LinalgError::NonFinite
         );
-        // Singular geometry.
-        let a = smat3(&[[1.0, 0.0, 0.0]; 4]);
-        assert_eq!(
-            ols3(&a, &svec(&[1.0; 4])).unwrap_err(),
-            LinalgError::Singular
-        );
-        // Bad weights.
-        let mut a4 = SMat::<STACK_M_CAP, 4>::zeroed(4);
-        for r in 0..4 {
-            a4.row_mut(r)[r] = 1.0;
-        }
-        let b4 = SVec::<STACK_M_CAP>::zeroed(4);
-        assert_eq!(
-            wls4(&a4, &b4, &[1.0, -1.0, 1.0, 1.0]).unwrap_err(),
-            LinalgError::NotPositiveDefinite { pivot: 0 }
-        );
+        // Singular geometry, through the Cholesky pivot and through
+        // Cramer's determinant test.
+        let a = smat4(&[[1.0, 0.0, 0.0, 1.0]; 4]);
         assert!(matches!(
-            wls4(&a4, &b4, &[1.0; 3]).unwrap_err(),
-            LinalgError::ShapeMismatch { .. }
+            ols4(&a, &svec(&[1.0; 4])).unwrap_err(),
+            LinalgError::NotPositiveDefinite { .. }
         ));
-    }
-
-    #[test]
-    fn gls3_identity_covariance_matches_ols3() {
-        let rows = [
-            [2.0, 1.0, 0.5],
-            [0.3, 1.5, -0.2],
-            [-1.0, 0.4, 2.0],
-            [0.8, -0.6, 1.1],
-        ];
-        let b = [1.0, -2.0, 0.5, 3.0];
-        let a = smat3(&rows);
-        let bv = svec(&b);
-        let mut cov = SMat::<STACK_M_CAP, STACK_M_CAP>::zeroed(4);
-        for r in 0..4 {
-            cov.row_mut(r)[r] = 1.0;
+        let mut normal = Normal3::default();
+        for _ in 0..4 {
+            normal.add_row([1.0, 0.0, 0.0], 1.0);
         }
-        let via_gls = gls3(&a, &bv, &mut cov).unwrap();
-        let via_ols = ols3(&a, &bv).unwrap();
-        for (g, o) in via_gls.iter().zip(via_ols) {
-            assert!((g - o).abs() < 1e-12);
-        }
+        assert_eq!(normal.solve_cramer().unwrap_err(), LinalgError::Singular);
     }
 
     #[test]
@@ -800,8 +605,11 @@ mod tests {
             .unwrap()
             .solve_cramer()
             .unwrap();
-        let plain = ols3(&smat3(&rows), &svec(&b)).unwrap();
-        for (s, o) in structured.iter().zip(plain) {
+        let mut plain = Normal3::default();
+        for (&row, &bv) in rows.iter().zip(&b) {
+            plain.add_row(row, bv);
+        }
+        for (s, o) in structured.iter().zip(plain.solve_cramer().unwrap()) {
             assert_eq!(s.to_bits(), o.to_bits());
         }
         assert_eq!(

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Offline CI gate for the workspace: formatting, lints, a release build
 # (benches included, so the harness-based bench files stay compiling),
+# the benchmark package's build and tests,
 # the full test suite, and a fault-campaign smoke run. No network access
 # required.
 set -eu
@@ -18,6 +19,10 @@ cargo build --release --offline --workspace --all-targets
 
 echo "==> cargo test"
 cargo test -q --offline --workspace
+
+echo "==> perfbench build + tests (the repository benchmark drives the public API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> gps-lint (workspace static analysis, 10s wall-clock budget)"
 lint_start=$(date +%s)
@@ -122,7 +127,7 @@ echo "$out" | grep -q "to 40 satellites" \
 echo "$out" | grep -Eq "^ +40 " \
     || { echo "smoke: theta_vs_m produced no m = 40 row"; exit 1; }
 
-echo "==> GLS-path ablation smoke (structured/whitened/explicit sweep, quick samples)"
+echo "==> GLS-path ablation smoke (structured/whitened sweep + explicit-inverse reference, quick samples)"
 out=$(GPS_BENCH_QUICK=1 cargo bench --offline -q -p gps-bench --bench ablation_gls_cov 2>&1)
 echo "$out" | grep "dlg/structured" || { echo "smoke: ablation ran no structured cells"; exit 1; }
 echo "$out" | grep -q "dlg/structured/m40" \
