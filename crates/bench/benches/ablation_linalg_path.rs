@@ -3,8 +3,9 @@
 //!
 //! Compares, on the actual GPS-shaped systems:
 //!
-//! * OLS via normal equations + Cholesky (the crate default, what the
-//!   paper's eq. 4-12 literally writes) vs Householder QR;
+//! * OLS through the heap `lstsq::ols` entry point (which hands a
+//!   three-column system to the Cramer kernel and returns a heap
+//!   `Vector`) vs `lstsq::ols3` called directly;
 //! * GLS via whitening (the crate default) vs the explicit `M⁻¹`
 //!   formulation of eq. 4-21.
 
@@ -36,13 +37,6 @@ fn bench_paths(h: &mut Harness) {
             b.iter(|| {
                 for sys in systems {
                     let _ = black_box(lstsq::ols3(&sys.a, &sys.d));
-                }
-            })
-        });
-        group.bench_with_input(&format!("ols_qr/{m}"), &systems, |b, systems| {
-            b.iter(|| {
-                for sys in systems {
-                    let _ = black_box(lstsq::ols_qr(&sys.a, &sys.d));
                 }
             })
         });

@@ -7,7 +7,9 @@
 //! counter is sampled around a batch of steady-state solves: the delta
 //! must be exactly zero. The same check covers the batched [`Engine`]
 //! and the RAIM happy path, which together form the per-epoch loop of
-//! every downstream consumer.
+//! every downstream consumer, and the geometry helpers around a fix
+//! (DOP, trilateration, the condition-optimal base choice), which must
+//! not allocate even on their first call.
 //!
 //! The counters are thread-local so allocations made by other tests
 //! running in parallel (and by libtest's own threads) don't pollute the
@@ -18,8 +20,8 @@ use std::cell::Cell;
 
 use gps_bench::{fixture_epochs, fixture_epochs_multi};
 use gps_core::{
-    Bancroft, Dlg, Dlo, Engine, Epoch, GlsPath, NewtonRaphson, ParallelEngine, Raim, SolveContext,
-    Solver, WorkerLanes,
+    trilaterate3, Bancroft, BaseSelection, Dlg, Dlo, Dop, Engine, Epoch, GlsPath, Measurement,
+    NewtonRaphson, ParallelEngine, Raim, SolveContext, Solver, WorkerLanes,
 };
 
 thread_local! {
@@ -199,6 +201,69 @@ fn dlg_structured_is_allocation_free_from_the_first_call() {
 #[test]
 fn bancroft_is_allocation_free_from_the_first_call() {
     assert_zero_alloc_cold(&Bancroft, 0.0);
+}
+
+/// The first fixture epoch with `m` satellites (the GPS-only fixture up
+/// to m = 13, the multi-GNSS one above), both seen from SRZN.
+fn first_epoch(m: usize) -> Vec<Measurement> {
+    let epochs = if m <= 13 {
+        fixture_epochs(m, 97)
+    } else {
+        fixture_epochs_multi(m, 97)
+    };
+    epochs
+        .into_iter()
+        .next()
+        .expect("fixture produced no epoch")
+}
+
+/// The geometry helpers around a fix — the GDOP gate, three-sphere
+/// trilateration and the condition-optimal base choice — run on
+/// fixed-size storage, so even their first call allocates nothing.
+#[test]
+fn dop_is_allocation_free_from_the_first_call() {
+    let station = gps_obs::paper_stations()[0].position();
+    for m in [4, 8, 40] {
+        let meas = first_epoch(m);
+        let allocs = allocations_during(|| {
+            let dop = Dop::compute(&meas, station);
+            assert!(dop.is_ok(), "DOP failed at m = {m}: {dop:?}");
+        });
+        assert_eq!(
+            allocs, 0,
+            "Dop::compute allocated {allocs} time(s) at m = {m}"
+        );
+    }
+}
+
+#[test]
+fn trilateration_is_allocation_free_from_the_first_call() {
+    let station = gps_obs::paper_stations()[0].position();
+    // Exact clock-free ranges from the station, so both roots exist.
+    let meas: Vec<Measurement> = first_epoch(4)
+        .iter()
+        .map(|m| Measurement::new(m.position, m.position.distance_to(station)))
+        .collect();
+    let allocs = allocations_during(|| {
+        let roots = trilaterate3(&meas, 0.0);
+        assert!(roots.is_ok(), "trilateration failed: {roots:?}");
+    });
+    assert_eq!(allocs, 0, "trilaterate3 allocated {allocs} time(s)");
+}
+
+#[test]
+fn best_conditioned_base_is_allocation_free_from_the_first_call() {
+    for m in [8, 40] {
+        let meas = first_epoch(m);
+        let allocs = allocations_during(|| {
+            let base = BaseSelection::BestConditioned.select(&meas);
+            assert!(base < m);
+        });
+        assert_eq!(
+            allocs, 0,
+            "BestConditioned.select allocated {allocs} time(s) at m = {m}"
+        );
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-use gps_linalg::{Matrix, SymmetricEigen};
+use gps_linalg::stack::Normal3;
 
 use crate::Measurement;
 
@@ -51,24 +51,23 @@ pub enum BaseSelection {
 }
 
 /// Condition number of the `(m−1)×3` design matrix that results from
-/// using measurement `base` as the base (via the eigenvalues of `AᵀA`).
+/// using measurement `base` as the base: each differenced row goes
+/// straight into the normal equations `AᵀA`, whose eigenvalues give
+/// `κ(A)` ([`Normal3::condition_number`]). Infinite for a non-finite
+/// geometry.
+// lint: no_alloc
 fn base_condition(measurements: &[Measurement], base: usize) -> f64 {
-    let s1 = measurements[base].position;
-    let rows: Vec<[f64; 3]> = measurements
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| *j != base)
-        .map(|(_, m)| {
+    let Some(s1) = measurements.get(base).map(|m| m.position) else {
+        return f64::INFINITY;
+    };
+    let mut normal = Normal3::default();
+    for (j, m) in measurements.iter().enumerate() {
+        if j != base {
             let d = m.position - s1;
-            [d.x, d.y, d.z]
-        })
-        .collect();
-    let a = Matrix::from_fn(rows.len(), 3, |r, c| rows[r][c]);
-    match SymmetricEigen::new(&a.gram()) {
-        // Condition of A is sqrt(condition of AᵀA).
-        Ok(eig) => eig.condition_number().sqrt(),
-        Err(_) => f64::INFINITY,
+            normal.add_row([d.x, d.y, d.z], 0.0);
+        }
     }
+    normal.condition_number().unwrap_or(f64::INFINITY)
 }
 
 impl BaseSelection {
@@ -118,11 +117,11 @@ impl BaseSelection {
                     // fall back to the first.
                     return 0;
                 }
+                // One κ per candidate; ties keep the first index.
                 (0..measurements.len())
-                    .min_by(|&a, &b| {
-                        base_condition(measurements, a).total_cmp(&base_condition(measurements, b))
-                    })
-                    .unwrap_or(0)
+                    .map(|b| (b, base_condition(measurements, b)))
+                    .min_by(|(_, ka), (_, kb)| ka.total_cmp(kb))
+                    .map_or(0, |(b, _)| b)
             }
         }
     }

@@ -1,7 +1,8 @@
 use std::fmt;
 
 use gps_geodesy::{Ecef, LocalFrame};
-use gps_linalg::Matrix;
+use gps_linalg::stack::{cholesky_back, cholesky_factor, cholesky_forward};
+use gps_linalg::SMat;
 
 use crate::{Measurement, SolveError};
 
@@ -11,7 +12,8 @@ use crate::{Measurement, SolveError};
 /// Computed from the cofactor matrix `Q = (GᵀG)⁻¹` of the standard
 /// position/time design matrix `G` (unit line-of-sight vectors plus the
 /// clock column). The horizontal/vertical split uses a local ENU frame at
-/// the receiver.
+/// the receiver. GDOP is `√trace Q`; only the diagonal of `Q` is needed,
+/// read off the Cholesky factor of the 4×4 Gram `GᵀG`.
 ///
 /// # Example
 ///
@@ -58,31 +60,40 @@ impl Dop {
     /// # Errors
     ///
     /// * [`SolveError::TooFewSatellites`] with fewer than 4 satellites.
-    /// * [`SolveError::DegenerateGeometry`] if `GᵀG` is singular.
+    /// * [`SolveError::DegenerateGeometry`] if `GᵀG` is not positive
+    ///   definite (singular geometry).
     /// * [`SolveError::NonFinite`] for NaN/∞ positions.
+    // lint: no_alloc
     pub fn compute(measurements: &[Measurement], receiver: Ecef) -> Result<Dop, SolveError> {
         crate::measurement::validate(measurements, 4)?;
         if !receiver.is_finite() {
             return Err(SolveError::NonFinite);
         }
-        let m = measurements.len();
         let frame = LocalFrame::new(receiver);
-        // Design matrix in ENU + clock so HDOP/VDOP read directly off Q.
-        let mut g = Matrix::zeros(m, 4);
-        for (i, meas) in measurements.iter().enumerate() {
+        // Lower triangle of GᵀG, one design row at a time, in ENU + clock
+        // so HDOP/VDOP read directly off Q.
+        let mut gram = SMat::<4, 4>::zeroed(4);
+        for meas in measurements {
             let enu = frame.to_enu(meas.position);
             let range = (enu.east * enu.east + enu.north * enu.north + enu.up * enu.up).sqrt();
             if range < 1.0 {
                 return Err(SolveError::NonFinite);
             }
-            let row = g.row_mut(i);
-            row[0] = enu.east / range;
-            row[1] = enu.north / range;
-            row[2] = enu.up / range;
-            row[3] = 1.0;
+            let row = [enu.east / range, enu.north / range, enu.up / range, 1.0];
+            for (i, &ri) in row.iter().enumerate() {
+                for (gij, &rj) in gram.row_mut(i).iter_mut().zip(&row).take(i + 1) {
+                    *gij += ri * rj;
+                }
+            }
         }
-        let q = g.gram().inverse()?;
-        let (qe, qn, qu, qt) = (q[(0, 0)], q[(1, 1)], q[(2, 2)], q[(3, 3)]);
+        cholesky_factor(&mut gram)?;
+        // Qₖₖ = eₖᵀ (LLᵀ)⁻¹ eₖ: one forward/back solve per unit vector.
+        let [qe, qn, qu, qt] = std::array::from_fn(|k| {
+            let mut col: [f64; 4] = std::array::from_fn(|i| if i == k { 1.0 } else { 0.0 });
+            cholesky_forward(&gram, &mut col);
+            cholesky_back(&gram, &mut col);
+            col.get(k).copied().unwrap_or(f64::NAN)
+        });
         Ok(Dop {
             gdop: (qe + qn + qu + qt).sqrt(),
             pdop: (qe + qn + qu).sqrt(),
@@ -162,6 +173,55 @@ mod tests {
             }
             Err(SolveError::DegenerateGeometry(_)) => {}
             Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+
+    /// The stack path against the heap reference it replaced: the
+    /// diagonal of `Cholesky::new(GᵀG)?.inverse()` on the same design.
+    #[test]
+    fn stack_path_matches_heap_inverse_on_random_geometries() {
+        use gps_linalg::{Cholesky, Matrix};
+        use gps_rng::rngs::StdRng;
+        use gps_rng::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xD0_0F);
+        let rx = receiver();
+        let frame = LocalFrame::new(rx);
+        for case in 0..200 {
+            let m: usize = rng.gen_range(4..41);
+            let meas: Vec<Measurement> = (0..m)
+                .map(|_| {
+                    let dir = Ecef::new(
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                    );
+                    let s = rx + dir * (2.0e7 / dir.norm().max(1e-3));
+                    Measurement::new(s, s.distance_to(rx))
+                })
+                .collect();
+            let g = Matrix::from_fn(m, 4, |r, c| {
+                let enu = frame.to_enu(meas[r].position);
+                let range = (enu.east * enu.east + enu.north * enu.north + enu.up * enu.up).sqrt();
+                [enu.east / range, enu.north / range, enu.up / range, 1.0][c]
+            });
+            let q = Cholesky::new(&g.gram()).unwrap().inverse().unwrap();
+            let (qe, qn, qu, qt) = (q[(0, 0)], q[(1, 1)], q[(2, 2)], q[(3, 3)]);
+            let want = [
+                (qe + qn + qu + qt).sqrt(),
+                (qe + qn + qu).sqrt(),
+                (qe + qn).sqrt(),
+                qu.sqrt(),
+                qt.sqrt(),
+            ];
+            let dop = Dop::compute(&meas, rx).unwrap();
+            let got = [dop.gdop, dop.pdop, dop.hdop, dop.vdop, dop.tdop];
+            for (g, w) in got.iter().zip(want) {
+                assert!(
+                    (g - w).abs() <= 1e-12 * w,
+                    "case {case} (m = {m}): {g} vs {w}"
+                );
+            }
         }
     }
 

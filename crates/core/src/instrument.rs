@@ -11,7 +11,6 @@
 use std::sync::OnceLock;
 
 use gps_linalg::stack::Normal3;
-use gps_linalg::{Matrix, SymmetricEigen};
 use gps_telemetry::{Counter, Event, Histogram, Level};
 
 macro_rules! cached_metric {
@@ -74,21 +73,18 @@ pub(crate) fn resilient_fix_quality(name: &'static str) -> &'static Counter {
 
 /// 2-norm condition number of a design matrix `A` from the normal
 /// matrix `G = AᵀWA` a direct solver already accumulated: `κ₂(W½A) =
-/// √κ₂(G)`, via the symmetric eigendecomposition. `None` when the
-/// geometry is too degenerate for the QL iteration.
+/// √κ₂(G)`, from `G`'s eigenvalues by fixed-size 3×3 Jacobi
+/// ([`Normal3::condition_number`]). `None` when `G` holds a NaN/∞.
 pub(crate) fn normal_condition_number(normal: &Normal3) -> Option<f64> {
-    let [r0, r1, r2] = normal.gram();
-    let gram = Matrix::from_rows(&[&r0, &r1, &r2]).ok()?;
-    SymmetricEigen::new(&gram)
-        .ok()
-        .map(|eig| eig.condition_number().sqrt())
+    normal.condition_number()
 }
 
 /// Detail observations of one DLO/DLG fix: the design's condition number
 /// (from the normal matrix the solve accumulated) into `condition`, plus
-/// a debug `solved` event under `target`. The eigendecomposition costs
-/// more than the solve itself (and allocates), so callers gate this on
-/// [`gps_telemetry::detail`]; it only reads what the solve produced.
+/// a debug `solved` event under `target`. The eigenvalue sweeps cost
+/// several times the 3-unknown solve itself (though they allocate
+/// nothing), so callers gate this on [`gps_telemetry::detail`]; it only
+/// reads what the solve produced.
 pub(crate) fn observe_direct_solve(
     condition: &Histogram,
     target: &'static str,

@@ -176,8 +176,7 @@ impl NewtonRaphson {
                 row[2] = delta.z / range;
                 row[3] = 1.0;
                 if self.weighting == Weighting::SinSquaredElevation {
-                    // Weighted LS is OLS on rows scaled by √wᵢ, formed
-                    // as `lstsq::wls_into` forms them.
+                    // Weighted LS is OLS on rows scaled by √wᵢ.
                     let el = meas.elevation;
                     let s = el.map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3)).sqrt();
                     for v in row.iter_mut() {

@@ -336,7 +336,7 @@ impl ResilientSolver {
             max_raim_exclusions: self.max_raim_exclusions,
         };
         let mut first_error: Option<SolveError> = None;
-        let mut accepted: Option<(Solution, &'static str, Vec<usize>, usize)> = None;
+        let mut accepted: Option<(Solution, f64, &'static str, Vec<usize>, usize)> = None;
         for (rung, solver) in self.ladder.iter().enumerate() {
             let name = solver.name();
             match attempt(
@@ -346,10 +346,10 @@ impl ResilientSolver {
                 &cfg,
                 &mut self.ctx,
             ) {
-                Ok((solution, excluded_clean)) => {
+                Ok((solution, gdop, excluded_clean)) => {
                     let excluded: Vec<usize> =
                         excluded_clean.iter().map(|&k| original_index[k]).collect();
-                    accepted = Some((solution, name, excluded, rung));
+                    accepted = Some((solution, gdop, name, excluded, rung));
                     break;
                 }
                 Err(e) => {
@@ -364,7 +364,7 @@ impl ResilientSolver {
             }
         }
 
-        if let Some((solution, source, excluded, rung)) = accepted {
+        if let Some((solution, gdop, source, excluded, rung)) = accepted {
             // Clock innovation: rungs that solve their own bias expose a
             // stale predictor. The fix stands, but only as degraded.
             let clock_innovation_fired = solution.receiver_bias_m.is_some_and(|bias| {
@@ -404,17 +404,6 @@ impl ResilientSolver {
             let _ = self.filter.update(solution.position, self.since_fix_s);
             self.since_fix_s = 0.0;
             self.holdover_used = 0;
-            let gdop = if excluded.is_empty() {
-                Dop::compute(&clean, solution.position).ok().map(|d| d.gdop)
-            } else {
-                let used: Vec<Measurement> = clean
-                    .iter()
-                    .zip(&original_index)
-                    .filter(|(_, &i)| !excluded.contains(&i))
-                    .map(|(m, _)| *m)
-                    .collect();
-                Dop::compute(&used, solution.position).ok().map(|d| d.gdop)
-            };
             return Ok(ResilientFix {
                 position: solution.position,
                 quality,
@@ -422,7 +411,7 @@ impl ResilientSolver {
                 excluded,
                 dropped_non_finite,
                 residual_rms: Some(solution.residual_rms),
-                gdop,
+                gdop: Some(gdop),
                 receiver_bias_m: solution.receiver_bias_m,
             });
         }
@@ -483,19 +472,21 @@ struct RungConfig<'a> {
     max_raim_exclusions: usize,
 }
 
-/// Solve + gates + RAIM retry for one ladder rung.
+/// Solve + gates + RAIM retry for one ladder rung: the accepted
+/// solution, the GDOP its geometry gate computed on the satellites it
+/// used, and the `clean` indices RAIM excluded.
 fn attempt(
     solver: &dyn Solver,
     clean: &[Measurement],
     predicted_bias_m: f64,
     cfg: &RungConfig<'_>,
     ctx: &mut SolveContext,
-) -> Result<(Solution, Vec<usize>), SolveError> {
+) -> Result<(Solution, f64, Vec<usize>), SolveError> {
     let epoch = Epoch::new(clean, predicted_bias_m);
     let solution = solver.solve(&epoch, ctx)?;
     match validate(&solution, clean, cfg) {
-        GateVerdict::Pass => Ok((solution, Vec::new())),
-        GateVerdict::Fail(gate) => {
+        Ok(gdop) => Ok((solution, gdop, Vec::new())),
+        Err(gate) => {
             instrument::resilient_gate_failures().inc();
             // A residual failure with redundancy to spare is the RAIM
             // case: one bad measurement may be poisoning the fix.
@@ -511,8 +502,8 @@ fn attempt(
                     .map(|(_, m)| *m)
                     .collect();
                 match validate(&outcome.solution, &kept, cfg) {
-                    GateVerdict::Pass => Ok((outcome.solution, outcome.excluded)),
-                    GateVerdict::Fail(_) => Err(SolveError::IntegrityFault {
+                    Ok(gdop) => Ok((outcome.solution, gdop, outcome.excluded)),
+                    Err(_) => Err(SolveError::IntegrityFault {
                         excluded: outcome.excluded,
                         residual: outcome.solution.residual_rms,
                     }),
@@ -524,23 +515,25 @@ fn attempt(
     }
 }
 
-/// Applies the residual / GDOP / position-innovation gates.
-fn validate(solution: &Solution, used: &[Measurement], cfg: &RungConfig<'_>) -> GateVerdict {
+/// Applies the residual / GDOP / position-innovation gates; on a pass,
+/// returns the GDOP of `used` at the solution, which the accepted fix
+/// reports.
+fn validate(solution: &Solution, used: &[Measurement], cfg: &RungConfig<'_>) -> Result<f64, Gate> {
     if solution.residual_rms > cfg.gates.max_residual_rms_m {
-        return GateVerdict::Fail(Gate::Residual);
+        return Err(Gate::Residual);
     }
-    match Dop::compute(used, solution.position) {
-        Ok(dop) if dop.gdop <= cfg.gates.max_gdop => {}
+    let gdop = match Dop::compute(used, solution.position) {
+        Ok(dop) if dop.gdop <= cfg.gates.max_gdop => dop.gdop,
         // Either the geometry is explicitly degenerate or GDOP blew
         // through the ceiling — both mean "don't trust this fix".
-        _ => return GateVerdict::Fail(Gate::Geometry),
-    }
+        _ => return Err(Gate::Geometry),
+    };
     if let Some(predicted) = cfg.filter.predict_position(cfg.since_fix_s) {
         if solution.position.distance_to(predicted) > cfg.gates.max_position_innovation_m {
-            return GateVerdict::Fail(Gate::Innovation);
+            return Err(Gate::Innovation);
         }
     }
-    GateVerdict::Pass
+    Ok(gdop)
 }
 
 /// Which gate a candidate fix failed.
@@ -567,12 +560,6 @@ impl Gate {
             },
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateVerdict {
-    Pass,
-    Fail(Gate),
 }
 
 #[cfg(test)]

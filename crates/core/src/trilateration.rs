@@ -13,7 +13,6 @@
 
 use gps_geodesy::wgs84::SEMI_MAJOR_AXIS;
 use gps_geodesy::Ecef;
-use gps_linalg::{LuDecomposition, Matrix, Vector};
 
 use crate::measurement::validate;
 use crate::{Measurement, SolveError};
@@ -64,6 +63,7 @@ pub struct TrilaterationRoots {
 /// # Ok(())
 /// # }
 /// ```
+// lint: no_alloc
 pub fn trilaterate3(
     measurements: &[Measurement],
     predicted_receiver_bias_m: f64,
@@ -72,32 +72,33 @@ pub fn trilaterate3(
     if !predicted_receiver_bias_m.is_finite() {
         return Err(SolveError::NonFinite);
     }
-    let s: Vec<Ecef> = measurements[..3].iter().map(|m| m.position).collect();
-    let rho: Vec<f64> = measurements[..3]
-        .iter()
-        .map(|m| m.pseudorange - predicted_receiver_bias_m)
-        .collect();
+    let [m0, m1, m2, ..] = measurements else {
+        return Err(SolveError::TooFewSatellites {
+            got: measurements.len(),
+            need: 3,
+        });
+    };
+    let [s1, s2, s3] = [m0, m1, m2].map(|m| m.position);
+    let rho = [m0, m1, m2].map(|m| m.pseudorange - predicted_receiver_bias_m);
     if rho.iter().any(|&r| r <= 0.0) {
         return Err(SolveError::NoRealRoot);
     }
+    let [rho1, rho2, rho3] = rho;
 
     // Differencing spheres 2−1 and 3−1 yields two planes n·x = d (the
     // same algebra as the paper's eq. 4-7 with m = 3):
-    let planes: Vec<(Ecef, f64)> = (1..3)
-        .map(|j| {
-            let n = s[j] - s[0];
-            let d = 0.5
-                * ((s[j].norm_squared() - s[0].norm_squared())
-                    - (rho[j] * rho[j] - rho[0] * rho[0]));
-            (n, d)
-        })
-        .collect();
+    let plane = |sj: Ecef, rhoj: f64| {
+        let n = sj - s1;
+        let d = 0.5 * ((sj.norm_squared() - s1.norm_squared()) - (rhoj * rhoj - rho1 * rho1));
+        (n, d)
+    };
+    let (n1, d1) = plane(s2, rho2);
+    let (n2, d2) = plane(s3, rho3);
 
-    // Line of intersection: direction along n₁ × n₂; a point on the line
-    // from solving the 2-plane system plus a gauge constraint.
-    let dir = planes[0].0.cross(planes[1].0);
+    // Line of intersection: direction along n₁ × n₂.
+    let dir = n1.cross(n2);
     let dir_norm = dir.norm();
-    let scale = planes[0].0.norm() * planes[1].0.norm();
+    let scale = n1.norm() * n2.norm();
     if dir_norm <= 1e-10 * scale {
         return Err(SolveError::DegenerateGeometry(
             gps_linalg::LinalgError::Singular,
@@ -105,29 +106,18 @@ pub fn trilaterate3(
     }
     let dir = dir / dir_norm;
 
-    // Point on the line: solve [n₁; n₂; dir]ᵀ x = [d₁; d₂; dir·s₁]
-    // (third row pins the component along the line to pass near s₁'s
-    // projection — any gauge works).
-    let a = Matrix::from_rows(&[
-        &[planes[0].0.x, planes[0].0.y, planes[0].0.z],
-        &[planes[1].0.x, planes[1].0.y, planes[1].0.z],
-        &[dir.x, dir.y, dir.z],
-    ])
-    .map_err(SolveError::DegenerateGeometry)?;
-    let b = Vector::from_slice(&[planes[0].1, planes[1].1, 0.0]);
-    let p0 = match LuDecomposition::new(&a) {
-        Ok(lu) => {
-            let x = lu.solve(&b).map_err(SolveError::from)?;
-            Ecef::new(x[0], x[1], x[2])
-        }
-        Err(e) => return Err(SolveError::from(e)),
-    };
+    // Point on the line: the solution of [n₁; n₂; dir] x = [d₁; d₂; 0]
+    // (the third row is a gauge — any value pins one point), by the
+    // triple-product form of Cramer's rule. The check above bounds the
+    // determinant n₁·(n₂ × dir) = |n₁ × n₂| away from zero.
+    let n2_x_dir = n2.cross(dir);
+    let p0 = (n2_x_dir * d1 + dir.cross(n1) * d2) / n1.dot(n2_x_dir);
 
     // Intersect the line p0 + t·dir with sphere 1:
     // |p0 + t·dir − s₁|² = ρ₁².
-    let w = p0 - s[0];
+    let w = p0 - s1;
     let b_half = w.dot(dir);
-    let c = w.norm_squared() - rho[0] * rho[0];
+    let c = w.norm_squared() - rho1 * rho1;
     let disc = b_half * b_half - c;
     if disc < 0.0 {
         return Err(SolveError::NoRealRoot);

@@ -270,68 +270,6 @@ impl Cholesky {
     pub fn inverse(&self) -> crate::Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
-
-    /// Solves the triangular system `L y = b` only (a *whitening*
-    /// half-solve).
-    ///
-    /// If `M = L Lᵀ` is an error covariance, `L⁻¹ A` and `L⁻¹ b` transform a
-    /// generalized least-squares problem into an ordinary one — the standard
-    /// reduction used by [`crate::lstsq::gls`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_lower(&self, b: &Vector) -> crate::Result<Vector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: (n, n),
-                right: (b.len(), 1),
-                op: "cholesky solve_lower",
-            });
-        }
-        let mut y = b.clone();
-        for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        Ok(y)
-    }
-
-    /// Applies `L⁻¹` to every column of `b` (matrix version of
-    /// [`Cholesky::solve_lower`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_lower_matrix(&self, b: &Matrix) -> crate::Result<Matrix> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: (n, n),
-                right: b.shape(),
-                op: "cholesky solve_lower_matrix",
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let y = self.solve_lower(&b.col(c))?;
-            for r in 0..n {
-                out[(r, c)] = y[r];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Log-determinant of `A` (`2 · Σ log L[i][i]`), numerically stable for
-    /// large dimensions.
-    #[must_use]
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -365,12 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn solve_matches_lu() {
+    fn solve_recovers_exact_solution() {
         let a = spd3();
-        let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        let x_chol = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        let x_lu = crate::LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
-        assert!((&x_chol - &x_lu).norm_inf() < 1e-10);
+        let x_true = Vector::from_slice(&[1.0, 2.0, 3.0]);
+        let b = a.matvec(&x_true).unwrap();
+        let x = Cholesky::new(&a).unwrap().solve(&b).unwrap();
+        assert!((&x - &x_true).norm_inf() < 1e-10);
     }
 
     #[test]
@@ -406,40 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn whitening_half_solve() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        let b = Vector::from_slice(&[1.0, -1.0, 0.5]);
-        let y = chol.solve_lower(&b).unwrap();
-        // L y should equal b.
-        let ly = chol.l().matvec(&y).unwrap();
-        assert!((&ly - &b).norm_inf() < 1e-12);
-    }
-
-    #[test]
     fn whitened_gram_is_identity() {
-        // L⁻¹ A (L⁻¹)ᵀ = I when A = L Lᵀ.
+        // L⁻¹ A = Lᵀ when A = L Lᵀ.
         let a = spd3();
         let chol = Cholesky::new(&a).unwrap();
-        let w = chol.solve_lower_matrix(&a).unwrap(); // L⁻¹ A = Lᵀ
-        let lt = chol.l().transpose();
-        assert!((&w - &lt).norm_max() < 1e-10);
-    }
-
-    #[test]
-    fn log_determinant_matches_lu() {
-        let a = spd3();
-        let chol_ld = Cholesky::new(&a).unwrap().log_determinant();
-        let lu_det = crate::LuDecomposition::new(&a).unwrap().determinant();
-        assert!((chol_ld - lu_det.ln()).abs() < 1e-10);
+        let mut w = a.clone();
+        Cholesky::forward_substitute_matrix(chol.l(), &mut w).unwrap();
+        assert!((&w - &chol.l().transpose()).norm_max() < 1e-10);
     }
 
     #[test]
     fn solve_shape_mismatch() {
         let chol = Cholesky::new(&Matrix::identity(2)).unwrap();
         assert!(chol.solve(&Vector::zeros(3)).is_err());
-        assert!(chol.solve_lower(&Vector::zeros(1)).is_err());
         assert!(chol.solve_matrix(&Matrix::zeros(3, 2)).is_err());
-        assert!(chol.solve_lower_matrix(&Matrix::zeros(3, 2)).is_err());
+        let mut wrong = Matrix::zeros(3, 2);
+        assert!(Cholesky::forward_substitute_matrix(chol.l(), &mut wrong).is_err());
     }
 }

@@ -12,9 +12,11 @@
 //!
 //! This crate provides exactly those primitives, built from scratch and
 //! property-tested: a dense row-major [`Matrix`], a dense [`Vector`],
-//! [`LuDecomposition`] with partial pivoting, [`Cholesky`], Householder
-//! [`QrDecomposition`], and the high-level [`lstsq`] solvers
-//! ([`lstsq::ols`], [`lstsq::wls`], [`lstsq::gls`]).
+//! [`Cholesky`], the high-level [`lstsq`] solvers ([`lstsq::ols`],
+//! [`lstsq::gls`], [`lstsq::gls_rank1`]), and the fixed-size [`stack`]
+//! kernels every production solve runs on — including the 3×3
+//! symmetric eigenvalue routine behind the condition-number telemetry
+//! ([`stack::sym3_eigenvalues`]).
 //!
 //! # Example
 //!
@@ -36,21 +38,15 @@
 #![deny(unsafe_code)]
 
 mod cholesky;
-mod eigen;
 mod error;
 pub mod lstsq;
-mod lu;
 mod matrix;
-mod qr;
 pub mod stack;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
-pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use qr::QrDecomposition;
 pub use stack::{SMat, SVec, STACK_M_CAP};
 pub use vector::Vector;
 

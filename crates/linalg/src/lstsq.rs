@@ -1,43 +1,42 @@
 //! High-level least-squares solvers.
 //!
-//! Three estimators, matching the paper's terminology:
+//! Two estimators, matching the paper's terminology, plus the structured
+//! form of the second:
 //!
 //! * [`ols`] — **Ordinary Least Squares** `x = (AᵀA)⁻¹ Aᵀ b` (paper
 //!   eq. 4-12), optimal when residual errors are zero-mean, homoscedastic
 //!   and *uncorrelated* (paper eq. 3-33/3-34/3-35).
-//! * [`wls`] — **Weighted Least Squares** with a diagonal weight matrix,
-//!   the common special case of GLS.
 //! * [`gls`] — **General Least Squares** `x = (AᵀM⁻¹A)⁻¹ AᵀM⁻¹ b` (paper
 //!   eq. 4-21), optimal whenever the error covariance `M = σ²Ω` is known up
 //!   to scale with `Ω` positive definite (paper eq. 4-23/4-24) — exactly
 //!   the situation Theorem 4.2 establishes for the direct-linearization
 //!   system.
+//! * [`gls_rank1`] — GLS under the rank-one-plus-diagonal covariance of
+//!   the paper's Ψ (eq. 4-25/4-26), in `O(m)` by Sherman–Morrison.
 //!
 //! Implementation notes: the default paths solve the (whitened) normal
 //! equations through Cholesky — the matrices involved are tiny (`m ≤ ~12`
 //! satellites) and well-conditioned, so this is both the fastest and the
 //! most faithful rendering of what the paper's formulas prescribe.
-//! [`ols_qr`] offers a Householder-QR alternative for the linalg-path
-//! ablation and for ill-conditioned geometry.
 
 use crate::stack::{Normal3, Rank1Normal3};
-use crate::{Cholesky, LinalgError, Matrix, QrDecomposition, Vector};
+use crate::{Cholesky, LinalgError, Matrix, Vector};
 
 /// Reusable scratch buffers for the `*_into` least-squares entry points.
 ///
 /// A fresh `LstsqScratch` owns only empty buffers; the first solve sizes
 /// them and every later solve of the same (or smaller) dimensions reuses
 /// the allocations. One scratch may be shared freely across [`ols_into`],
-/// [`wls_into`] and [`gls_into`] calls of varying shapes — buffers are
+/// [`gls_into`] and [`gls_rank1_into`] calls of varying shapes — buffers are
 /// reshaped per call with [`Matrix::resize_zeroed`], which never shrinks
 /// capacity.
 #[derive(Debug, Clone, Default)]
 pub struct LstsqScratch {
     /// `n × n` normal equations `AᵀA`, factored in place.
     gram: Matrix,
-    /// `m × n` row-scaled / whitened copy of the design matrix.
+    /// `m × n` whitened copy of the design matrix.
     scaled_a: Matrix,
-    /// Length-`m` row-scaled / whitened copy of the right-hand side.
+    /// Length-`m` whitened copy of the right-hand side.
     scaled_b: Vector,
     /// `m × m` covariance copy, factored in place (GLS only).
     cov: Matrix,
@@ -205,93 +204,6 @@ pub fn ols3(a: &Matrix, b: &Vector) -> crate::Result<[f64; 3]> {
         normal.add_row([row[0], row[1], row[2]], b[r]);
     }
     normal.solve_cramer()
-}
-
-/// Ordinary least squares solved through Householder QR instead of the
-/// normal equations.
-///
-/// Numerically more robust than [`ols`] when `A` is ill-conditioned (the
-/// normal equations square the condition number); used by the
-/// `ablation_linalg_path` benchmark, and a sensible choice under degenerate
-/// satellite geometry.
-///
-/// # Errors
-///
-/// Same conditions as [`ols`] (rank deficiency surfaces as
-/// [`LinalgError::Singular`]).
-pub fn ols_qr(a: &Matrix, b: &Vector) -> crate::Result<Vector> {
-    check_system(a, b, "ols_qr")?;
-    QrDecomposition::new(a)?.solve_least_squares(b)
-}
-
-/// Weighted least squares: minimizes `Σ wᵢ (A x − b)ᵢ²` for positive
-/// weights `w`.
-///
-/// Equivalent to [`gls`] with `M = diag(1/w)`, but avoids the dense
-/// factorization of `M`.
-///
-/// # Errors
-///
-/// Same conditions as [`ols`], plus [`LinalgError::NotPositiveDefinite`]
-/// (pivot 0) if any weight is non-positive, and
-/// [`LinalgError::ShapeMismatch`] if `weights.len() != a.rows()`.
-pub fn wls(a: &Matrix, b: &Vector, weights: &[f64]) -> crate::Result<Vector> {
-    let mut scratch = LstsqScratch::new();
-    let mut x = Vector::default();
-    wls_into(a, b, weights, &mut scratch, &mut x)?;
-    Ok(x)
-}
-
-/// [`wls`] with caller-provided buffers: writes the solution into `x` and
-/// keeps the row-scaled system in `scratch`, so repeated solves allocate
-/// nothing after the first call.
-///
-/// # Errors
-///
-/// Same conditions as [`wls`].
-// lint: no_alloc
-pub fn wls_into(
-    a: &Matrix,
-    b: &Vector,
-    weights: &[f64],
-    scratch: &mut LstsqScratch,
-    x: &mut Vector,
-) -> crate::Result<()> {
-    check_system(a, b, "wls")?;
-    let (m, n) = a.shape();
-    if weights.len() != m {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, n),
-            right: (weights.len(), 1),
-            op: "wls weights",
-        });
-    }
-    if weights.iter().any(|&w| w <= 0.0 || !w.is_finite()) {
-        return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
-    }
-    // Scale each row of A and entry of b by sqrt(w), then run OLS.
-    let LstsqScratch {
-        gram,
-        scaled_a,
-        scaled_b,
-        ..
-    } = scratch;
-    scaled_a.resize_zeroed(m, n);
-    scaled_b.resize_zeroed(m);
-    for r in 0..m {
-        let s = weights[r].sqrt();
-        let (src, dst) = (a.row(r), scaled_a.row_mut(r));
-        for c in 0..n {
-            dst[c] = src[c] * s;
-        }
-        scaled_b[r] = b[r] * s;
-    }
-    if n == 3 && m >= 3 {
-        let sol = ols3(scaled_a, scaled_b)?;
-        x.copy_from_slice(&sol);
-        return Ok(());
-    }
-    ols_core(scaled_a, scaled_b, gram, x)
 }
 
 /// General least squares: minimizes `(A x − b)ᵀ M⁻¹ (A x − b)` for a
@@ -731,17 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn ols_qr_agrees_with_ols() {
-        let (a, mut b) = tall_system();
-        // Perturb so the system is inconsistent.
-        b[0] += 0.7;
-        b[3] -= 0.3;
-        let x1 = ols(&a, &b).unwrap();
-        let x2 = ols_qr(&a, &b).unwrap();
-        assert!((&x1 - &x2).norm_inf() < 1e-9);
-    }
-
-    #[test]
     fn ols_residual_is_orthogonal_to_columns() {
         let (a, mut b) = tall_system();
         b[1] += 1.0;
@@ -772,36 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn wls_equals_gls_with_diagonal_covariance() {
-        let (a, mut b) = tall_system();
-        b[4] += 1.5;
-        let weights = [1.0, 2.0, 0.5, 4.0, 1.0];
-        let x_wls = wls(&a, &b, &weights).unwrap();
-        let m = Matrix::from_diagonal(&weights.map(|w| 1.0 / w));
-        let x_gls = gls(&a, &b, &m).unwrap();
-        assert!((&x_wls - &x_gls).norm_inf() < 1e-9);
-    }
-
-    #[test]
-    fn wls_downweights_outlier() {
-        // y = const model; one wild observation with tiny weight.
-        let a = Matrix::from_rows(&[&[1.0], &[1.0], &[1.0]]).unwrap();
-        let b = Vector::from_slice(&[10.0, 10.0, 1000.0]);
-        let x = wls(&a, &b, &[1.0, 1.0, 1e-9]).unwrap();
-        assert!((x[0] - 10.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn wls_rejects_bad_weights() {
-        let a = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
-        let b = Vector::zeros(2);
-        assert!(wls(&a, &b, &[1.0]).is_err());
-        assert!(wls(&a, &b, &[1.0, 0.0]).is_err());
-        assert!(wls(&a, &b, &[1.0, -1.0]).is_err());
-        assert!(wls(&a, &b, &[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
     fn gls_is_blue_for_correlated_noise() {
         // With strongly correlated errors, GLS with the true covariance must
         // not do worse (in exact arithmetic, on average) — here we check the
@@ -825,7 +696,6 @@ mod tests {
             ols(&a, &b).unwrap_err(),
             LinalgError::Underdetermined { .. }
         ));
-        assert!(ols_qr(&a, &b).is_err());
         assert!(gls(&a, &b, &Matrix::identity(2)).is_err());
     }
 
@@ -859,10 +729,6 @@ mod tests {
         let b4 = Vector::from_fn(6, |r| r as f64 - 2.0);
         ols_into(&a4, &b4, &mut scratch, &mut x).unwrap();
         assert!((&x - &ols(&a4, &b4).unwrap()).norm_inf() == 0.0);
-
-        let weights = [1.0, 2.0, 0.5, 4.0, 1.0];
-        wls_into(&a, &b, &weights, &mut scratch, &mut x).unwrap();
-        assert!((&x - &wls(&a, &b, &weights).unwrap()).norm_inf() == 0.0);
 
         let m = Matrix::from_fn(5, 5, |r, c| if r == c { 2.0 } else { 1.0 });
         gls_into(&a, &b, &m, GlsStrategy::Whitened, &mut scratch, &mut x).unwrap();
@@ -900,17 +766,6 @@ mod tests {
             LinalgError::Underdetermined { .. }
         ));
         let id = Matrix::identity(3);
-        assert!(matches!(
-            wls_into(
-                &id,
-                &Vector::zeros(3),
-                &[1.0, -1.0, 1.0],
-                &mut scratch,
-                &mut x
-            )
-            .unwrap_err(),
-            LinalgError::NotPositiveDefinite { pivot: 0 }
-        ));
         assert!(matches!(
             gls_into(
                 &id,

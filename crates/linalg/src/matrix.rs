@@ -349,12 +349,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm (square root of the sum of squared entries).
-    #[must_use]
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     #[must_use]
     pub fn norm_max(&self) -> f64 {
@@ -367,44 +361,6 @@ impl Matrix {
         (0..self.rows)
             .map(|r| self.row(r).iter().map(|x| x.abs()).sum::<f64>())
             .fold(0.0, f64::max)
-    }
-
-    /// Inverse via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input and
-    /// [`LinalgError::Singular`] for singular input.
-    pub fn inverse(&self) -> crate::Result<Matrix> {
-        crate::LuDecomposition::new(self)?.inverse()
-    }
-
-    /// Determinant via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input.
-    pub fn determinant(&self) -> crate::Result<f64> {
-        match crate::LuDecomposition::new(self) {
-            Ok(lu) => Ok(lu.determinant()),
-            Err(LinalgError::Singular) => Ok(0.0),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Swaps rows `a` and `b` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        assert!(a < self.rows && b < self.rows, "row index out of bounds");
-        if a == b {
-            return;
-        }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let (head, tail) = self.data.split_at_mut(hi * self.cols);
-        head[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
     }
 }
 
@@ -589,21 +545,8 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]).unwrap();
-        assert_eq!(m.norm_frobenius(), 5.0);
         assert_eq!(m.norm_max(), 4.0);
         assert_eq!(m.norm_inf(), 4.0);
-    }
-
-    #[test]
-    fn swap_rows_works_both_orders() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        m.swap_rows(0, 2);
-        assert_eq!(m.row(0), &[5.0, 6.0]);
-        assert_eq!(m.row(2), &[1.0, 2.0]);
-        m.swap_rows(2, 0);
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-        m.swap_rows(1, 1); // no-op
-        assert_eq!(m.row(1), &[3.0, 4.0]);
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //!   share the same accumulators.
 //! * [`cholesky_factor`], [`cholesky_forward`], [`cholesky_back`] — the
 //!   in-place factor and substitutions; Bancroft factors its 4×4 Gram
-//!   with them once for both right-hand sides.
+//!   with them once for both right-hand sides, and DOP reads the
+//!   diagonal of its 4×4 cofactor matrix through them.
+//! * [`sym3_eigenvalues`] — cyclic Jacobi on a symmetric 3×3, behind
+//!   [`Normal3::condition_number`] (the detail κ telemetry and the
+//!   condition-optimal base choice).
 //! * [`SMat<M, N>`] / [`SVec<N>`] with [`ols4`] — fixed-capacity storage
 //!   and the 4-unknown least-squares step of Newton–Raphson, the one
 //!   solver that still keeps two kernels: its Jacobian is rebuilt every
@@ -27,10 +31,10 @@
 //!
 //! # Bit-for-bit parity with the heap path
 //!
-//! Every kernel here performs **the same floating-point operations in the
-//! same order** as its heap counterpart in [`crate::lstsq`] /
-//! [`crate::Cholesky`] ([`ols4`] mirrors `ols_into`'s gram + Cholesky
-//! chain). IEEE-754 arithmetic is
+//! Every kernel here that has a heap counterpart in [`crate::lstsq`] /
+//! [`crate::Cholesky`] performs **the same floating-point operations in
+//! the same order** as it ([`ols4`] mirrors `ols_into`'s gram + Cholesky
+//! chain; [`sym3_eigenvalues`] has no heap counterpart). IEEE-754 arithmetic is
 //! deterministic, so on identical inputs the two return bit-identical
 //! results and identical errors — a property pinned by the
 //! `stack_parity` test suite, which is what makes NR's choice of kernel
@@ -232,6 +236,22 @@ impl Normal3 {
         ]
     }
 
+    /// Spectral condition number of the design matrix `A` whose normal
+    /// matrix this is: `κ₂(A) = √κ₂(G) = √(|λ|max / |λ|min)` from
+    /// [`sym3_eigenvalues`], infinite when `G` is singular. `None` when
+    /// an entry of `G` is NaN/∞.
+    #[must_use]
+    pub fn condition_number(&self) -> Option<f64> {
+        let lambda = sym3_eigenvalues(&self.gram())?;
+        let max = lambda.iter().fold(0.0f64, |m, l| m.max(l.abs()));
+        let min = lambda.iter().fold(f64::INFINITY, |m, l| m.min(l.abs()));
+        Some(if min > 0.0 {
+            (max / min).sqrt()
+        } else {
+            f64::INFINITY
+        })
+    }
+
     /// Solves `G x = c` by Cramer's rule on the symmetric 3×3 system.
     ///
     /// # Errors
@@ -267,6 +287,67 @@ impl Normal3 {
             / det;
         Ok([x0, x1, x2])
     }
+}
+
+/// Sweep cap for [`sym3_eigenvalues`]. Cyclic Jacobi converges
+/// quadratically; a 3×3 needs a handful of sweeps.
+const JACOBI_MAX_SWEEPS: usize = 32;
+
+/// Eigenvalues of the symmetric 3×3 matrix `a` by cyclic Jacobi
+/// rotations, unsorted. Only the upper triangle is read.
+///
+/// Each sweep rotates the pairs (0,1), (0,2), (1,2) in turn, and the
+/// sweeps stop once the off-diagonal Frobenius mass is at most `1e-14`
+/// of the largest entry, so by Weyl's inequality every eigenvalue is
+/// within that much of exact. Jacobi keeps small eigenvalues accurate
+/// relative to the largest one, which is what a condition number needs.
+/// `None` when an entry is NaN/∞.
+// lint: no_alloc
+#[must_use]
+pub fn sym3_eigenvalues(a: &[[f64; 3]; 3]) -> Option<[f64; 3]> {
+    let [[mut d0, mut o01, mut o02], [_, mut d1, mut o12], [_, _, mut d2]] = *a;
+    let upper = [d0, d1, d2, o01, o02, o12];
+    if !upper.iter().all(|v| v.is_finite()) {
+        return None;
+    }
+    let scale = upper
+        .iter()
+        .fold(0.0f64, |m, v| m.max(v.abs()))
+        .max(f64::MIN_POSITIVE);
+    for _ in 0..JACOBI_MAX_SWEEPS {
+        let off = (o01 * o01 + o02 * o02 + o12 * o12).sqrt();
+        if off <= 1e-14 * scale {
+            break;
+        }
+        // Rotating (p, q) mixes row/column r, the remaining index.
+        jacobi_rotate(&mut d0, &mut d1, &mut o01, &mut o02, &mut o12);
+        jacobi_rotate(&mut d0, &mut d2, &mut o02, &mut o01, &mut o12);
+        jacobi_rotate(&mut d1, &mut d2, &mut o12, &mut o01, &mut o02);
+    }
+    Some([d0, d1, d2])
+}
+
+/// One Jacobi rotation in the (p, q) plane of a symmetric 3×3: zeroes
+/// `apq` and updates the diagonal pair and the entries `arp`, `arq` of
+/// the third index, in the stable tangent form (`t = tan φ` as the
+/// smaller root, `τ = tan(φ/2)`).
+#[inline]
+fn jacobi_rotate(app: &mut f64, aqq: &mut f64, apq: &mut f64, arp: &mut f64, arq: &mut f64) {
+    let g = *apq;
+    if g.abs() <= f64::MIN_POSITIVE {
+        return;
+    }
+    let theta = (*aqq - *app) / (2.0 * g);
+    let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+    let c = 1.0 / (t * t + 1.0).sqrt();
+    let s = t * c;
+    let tau = s / (1.0 + c);
+    *app -= t * g;
+    *aqq += t * g;
+    *apq = 0.0;
+    let (rp, rq) = (*arp, *arq);
+    *arp = rp - s * (rq + tau * rp);
+    *arq = rq + s * (rp - tau * rq);
 }
 
 /// Structured general least squares for three unknowns under the
@@ -624,6 +705,55 @@ mod tests {
             with_diag([1.0; 4]).finish(f64::NAN).unwrap_err(),
             LinalgError::NonFinite
         );
+    }
+
+    #[test]
+    fn sym3_eigenvalues_of_known_matrices() {
+        let sorted = |a: &[[f64; 3]; 3]| {
+            let mut l = sym3_eigenvalues(a).unwrap();
+            l.sort_by(f64::total_cmp);
+            l
+        };
+        // Diagonal: no rotation, the entries themselves.
+        let diag = [[3.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 7.0]];
+        assert_eq!(sorted(&diag), [-1.0, 3.0, 7.0]);
+        // [[2,1,0],[1,2,0],[0,0,5]] has eigenvalues 1, 3, 5.
+        let block = [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]];
+        for (got, want) in sorted(&block).iter().zip([1.0, 3.0, 5.0]) {
+            assert!((got - want).abs() < 1e-14, "{got} vs {want}");
+        }
+        // The all-ones matrix is singular: eigenvalues 0, 0, 3.
+        let ones = [[1.0; 3]; 3];
+        let l = sorted(&ones);
+        assert!(l[0].abs() < 1e-14 && l[1].abs() < 1e-14);
+        assert!((l[2] - 3.0).abs() < 1e-14);
+        // Only the upper triangle is read.
+        let mut poisoned = block;
+        poisoned[1][0] = 999.0;
+        assert_eq!(sorted(&poisoned), sorted(&block));
+        let mut nan = block;
+        nan[0][2] = f64::NAN;
+        assert_eq!(sym3_eigenvalues(&nan), None);
+    }
+
+    #[test]
+    fn normal3_condition_number() {
+        let with_rows = |rows: &[[f64; 3]]| {
+            let mut n = Normal3::default();
+            for &row in rows {
+                n.add_row(row, 0.0);
+            }
+            n.condition_number()
+        };
+        // Singular values 4, 2, 1 → κ(A) = 4.
+        let kappa = with_rows(&[[4.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]).unwrap();
+        assert!((kappa - 4.0).abs() < 1e-12, "kappa {kappa}");
+        // Rank-deficient design: the zero column makes G singular.
+        assert_eq!(
+            with_rows(&[[1.0, 2.0, 0.0], [3.0, 1.0, 0.0]]),
+            Some(f64::INFINITY)
+        );
+        assert_eq!(with_rows(&[[f64::INFINITY, 0.0, 0.0]]), None);
     }
 
     #[test]

@@ -486,6 +486,55 @@ mod tests {
         }
     }
 
+    /// The GDOP a fix reports is the one its geometry gate computed: the
+    /// DOP of exactly the satellites the accepted solve used (finite and
+    /// not RAIM-excluded), at the fix position, to the bit.
+    #[test]
+    fn resilient_gdop_is_the_dop_of_the_used_set() {
+        use gps_core::{Dop, Measurement};
+
+        let data = dataset(60);
+        let plan = FaultPlan::new(3).with(FaultScenario::Step {
+            magnitude_m: 400.0,
+            start_frac: 0.4,
+            epochs: 8,
+        });
+        let FaultedDataSet { data: faulted, .. } = plan.apply(&data);
+        let calibration = ClockCalibration::bootstrap(&faulted, &cfg());
+        let mut resilient = ResilientSolver::new();
+        let mut with_exclusions = 0;
+        for epoch in faulted.epochs() {
+            let meas = to_measurements(epoch.observations());
+            let bias = calibration.predict_range_bias(epoch.time());
+            let Ok(fix) = resilient.solve_epoch(&meas, bias, 60.0) else {
+                continue;
+            };
+            if fix.quality == FixQuality::Holdover {
+                assert_eq!(fix.gdop, None);
+                continue;
+            }
+            let used: Vec<Measurement> = meas
+                .iter()
+                .enumerate()
+                .filter(|(i, m)| m.is_finite() && !fix.excluded.contains(i))
+                .map(|(_, m)| *m)
+                .collect();
+            let want = Dop::compute(&used, fix.position).unwrap().gdop;
+            assert_eq!(
+                fix.gdop.map(f64::to_bits),
+                Some(want.to_bits()),
+                "gdop {:?} vs {want} (excluded {:?})",
+                fix.gdop,
+                fix.excluded
+            );
+            with_exclusions += usize::from(!fix.excluded.is_empty());
+        }
+        assert!(
+            with_exclusions > 0,
+            "the step fault caused no RAIM exclusion"
+        );
+    }
+
     #[test]
     fn report_renders_every_section() {
         let data = dataset(40);

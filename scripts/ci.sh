@@ -143,12 +143,18 @@ echo "$out" | grep -q "availability 100.0%" && { echo "smoke: expected availabil
 echo "$out" | grep -q "degraded 0 " && { echo "smoke: expected degraded > 0"; exit 1; }
 echo "$out" | grep -q "holdover 0 " && { echo "smoke: expected the holdover fallback path"; exit 1; }
 
-echo "==> service smoke (serve -> kill -> replay parity in a fresh process)"
+echo "==> service smoke (pinned fleet digest, then serve -> kill -> replay parity in a fresh process)"
 out=$(cargo run --release --offline -q -- serve --quick --seed 2010 \
     --journal "$tmpdir/fleet.jrnl")
 echo "$out"
 digest=$(echo "$out" | sed -n 's/^fleet digest \([0-9a-f]\{16\}\)$/\1/p' | head -n 1)
 [ -n "$digest" ] || { echo "smoke: serve printed no fleet digest"; exit 1; }
+# Seed 2010 is all-nominal, sheds nothing and hits no deadline, so its
+# digest pins every served fix bit for bit: a change to a solver, to
+# GDOP or to shed priority that moves one output fails here.
+expected_digest=11457db311ea6c62
+[ "$digest" = "$expected_digest" ] \
+    || { echo "smoke: fleet digest $digest, expected $expected_digest"; exit 1; }
 cargo run --release --offline -q -- replay "$tmpdir/fleet.jrnl" \
     --verify-digest "$digest" \
     || { echo "smoke: journal replay lost digest parity"; exit 1; }
